@@ -79,12 +79,14 @@
 //
 // Invalidation is scoped, so caches stay warm under mixed read/write
 // traffic: a rating write to user u evicts only u's similarity row and
-// the peer sets u could have moved (the ratings store reports the
-// touched user, and every cache layer evicts by user instead of
-// flushing). Profile writes rebuild profile-derived state, so they
-// still flush everything, as does the explicit InvalidateCaches. Reads
-// racing a write may see either side of it; once writes quiesce,
-// served scores are bit-identical to a freshly built system's.
+// u's own peer set (the ratings store reports the touched user, and
+// every cache layer evicts by user instead of flushing); every other
+// peer set is patched for u on its next read, and the item-cf model
+// for the item pairs u's ratings span. Profile writes rebuild
+// profile-derived state, so they still flush everything, as does the
+// explicit InvalidateCaches. Reads racing a write may see either side
+// of it; once writes quiesce, served scores are bit-identical to a
+// freshly built system's.
 //
 // Both memoization layers (the similarity memo and the peer-set cache)
 // ride the shared internal/cache engine: Config.CacheTTL ages
@@ -419,8 +421,9 @@ type System struct {
 	// rather than resetting on every profile write.
 	simBase CacheCounters
 
-	// peerCache memoizes P_u across requests. Rating writes evict it
-	// per touched user (invalidateUsers); profile writes flush it
+	// peerCache memoizes P_u across requests. A rating write evicts the
+	// writer's own set and has every other set re-check the writer on
+	// its next read (invalidateUsers); profile writes flush it
 	// (invalidateAll). cf.PeerCache is generation- and sequence-
 	// checked, so an in-flight computation cannot resurrect a stale
 	// set.
@@ -1177,19 +1180,22 @@ func fromProfile(prof *phr.Profile) Patient {
 
 // invalidateUsers routes a rating write down the cache layers with
 // user scope: the touched users' similarity rows are evicted first,
-// then their peer sets. The order matters — a peer-cache fence
-// captured after EvictUsers can only observe post-eviction similarity
-// rows, so a peer set stored under that fence is built from post-write
-// data (simfn.Cached's own eviction sequencing fences off lookups that
-// were already in flight). Everything not reachable from the touched
+// then their own peer sets (recording them as touched, so every other
+// set patches itself for them on its next read). The order matters — a
+// peer-cache fence captured after EvictUsers can only observe
+// post-eviction similarity rows, so a peer set stored under that fence
+// is built from post-write data (simfn.Cached's own eviction
+// sequencing fences off lookups that were already in flight).
+// Everything not reachable from the touched
 // users stays warm: Pearson(v,w) is a function of v's and w's ratings
-// only, so no other entry can have changed.
+// only, so no other pair can have changed.
 //
 // Below the shared layers, the write fans out to every built scoring
-// provider (the item-cf neighbor model goes lazily dirty; user-cf and
-// profile need nothing) and, LAST, evicts the group-input memo — its
-// scope eviction bumps the memo's fence sequence, so an assembly that
-// read any pre-write state upstream is refused at store time.
+// provider (item-cf records the users for its next patch; profile
+// touches them in its own peer cache; user-cf needs nothing) and, LAST,
+// evicts the group-input memo — its scope eviction bumps the memo's
+// fence sequence, so an assembly that read any pre-write state upstream
+// is refused at store time.
 func (s *System) invalidateUsers(users ...model.UserID) {
 	s.mu.Lock()
 	if s.simCache != nil {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -486,23 +487,65 @@ func TestGroupMemoCollisionServing(t *testing.T) {
 }
 
 // TestItemCFConcurrentServeWrites exercises the item-cf provider's
-// lazy-rebuild invalidation under concurrent Serve traffic and rating
-// writes (run under -race in CI). Once writes quiesce, served answers
-// must be bit-identical to a fresh system over the final data.
+// patch-on-read invalidation under concurrent Serve traffic and rating
+// writes (run under -race in CI): two writers add ratings on new and
+// existing items and take some back, so reads meet dirty sets of one
+// and of several users, and a patch can race the next write. Once
+// writes quiesce, served answers must be bit-identical to a fresh
+// system over the final data.
 func TestItemCFConcurrentServeWrites(t *testing.T) {
 	sys, groups := scorerSystem(t)
-	var wg sync.WaitGroup
-	writerDone := make(chan struct{})
+	users := sys.SortedUsers()
+	// Writer w owns the users with index ≡ w (mod 2), so the final
+	// ratings do not depend on how the two interleave.
+	script := func(w int, apply func(remove bool, user, item string, value float64) error) error {
+		rng := rand.New(rand.NewSource(99 + int64(w)))
+		type written struct{ user, item string }
+		var mine []written
+		for n := 0; n < 60; n++ {
+			if len(mine) > 0 && rng.Intn(4) == 0 {
+				k := rng.Intn(len(mine))
+				if err := apply(true, mine[k].user, mine[k].item, 0); err != nil {
+					return err
+				}
+				mine = append(mine[:k], mine[k+1:]...)
+				continue
+			}
+			u := users[2*rng.Intn(len(users)/2)+w]
+			item := fmt.Sprintf("racedoc%02d", rng.Intn(10))
+			if rng.Intn(2) == 0 {
+				item = fmt.Sprintf("doc%04d", rng.Intn(80))
+			}
+			if err := apply(false, u, item, float64(1+n%5)); err != nil {
+				return err
+			}
+			if !slices.Contains(mine, written{u, item}) {
+				mine = append(mine, written{u, item})
+			}
+		}
+		return nil
+	}
+	applyTo := func(s *System) func(bool, string, string, float64) error {
+		return func(remove bool, user, item string, value float64) error {
+			if remove {
+				return s.RemoveRating(user, item)
+			}
+			return s.AddRating(user, item, value)
+		}
+	}
+
+	var readers, writers sync.WaitGroup
+	writersDone := make(chan struct{})
 	// Readers hammer item-cf (and the profile scorer for cross-provider
 	// interleaving) until the writers finish.
 	for w := 0; w < 3; w++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer readers.Done()
 			scorers := []string{"item-cf", "profile", "item-cf"}
 			for n := 0; ; n++ {
 				select {
-				case <-writerDone:
+				case <-writersDone:
 					return
 				default:
 				}
@@ -514,51 +557,43 @@ func TestItemCFConcurrentServeWrites(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(writerDone)
-		rng := rand.New(rand.NewSource(99))
-		users := sys.SortedUsers()
-		for n := 0; n < 40; n++ {
-			u := users[rng.Intn(len(users))]
-			item := fmt.Sprintf("racedoc%02d", n%10)
-			if err := sys.AddRating(u, item, float64(1+n%5)); err != nil {
-				t.Errorf("writer: %v", err)
-				return
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			if err := script(w, applyTo(sys)); err != nil {
+				t.Errorf("writer %d: %v", w, err)
 			}
-		}
-	}()
-	wg.Wait()
+		}(w)
+	}
+	writers.Wait()
+	close(writersDone)
+	readers.Wait()
 	if t.Failed() {
 		return
 	}
 	// Quiesced: warm answers must equal a cold rebuild over the final
 	// ratings.
 	fresh, _ := scorerSystem(t)
-	rng := rand.New(rand.NewSource(99))
-	users := sys.SortedUsers()
-	// Replay the same write sequence (SortedUsers is unchanged by the
-	// writes: racedoc items add no users).
-	for n := 0; n < 40; n++ {
-		u := users[rng.Intn(len(users))]
-		item := fmt.Sprintf("racedoc%02d", n%10)
-		if err := fresh.AddRating(u, item, float64(1+n%5)); err != nil {
+	for w := 0; w < 2; w++ {
+		if err := script(w, applyTo(fresh)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, scorer := range []string{"item-cf", "profile", "user-cf"} {
-		q := GroupQuery{Members: groups[0], Z: 4, Scorer: scorer, Explain: true}
-		warm, err := sys.Serve(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := fresh.Serve(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(warm, cold) {
-			t.Errorf("%s: post-quiesce warm answer diverged from cold rebuild", scorer)
+		for _, g := range groups {
+			q := GroupQuery{Members: g, Z: 4, Scorer: scorer, Explain: true}
+			warm, err := sys.Serve(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := fresh.Serve(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(warm, cold) {
+				t.Errorf("%s %v: post-quiesce warm answer diverged from cold rebuild", scorer, g)
+			}
 		}
 	}
 }

@@ -28,7 +28,7 @@
 //     of one key so the underlying value is computed once.
 //   - Scoped eviction with sequence fencing: every entry is indexed
 //     under a set of scope keys (the two endpoints of a similarity
-//     pair; a peer set's owner and members). EvictScopes removes every
+//     pair; a peer set's owner). EvictScopes removes every
 //     entry touching a scope and records the scope as touched at the
 //     bumped eviction sequence, so a value computed before the eviction
 //     can be refused at store time (PutChecked) or patched lazily on
@@ -893,24 +893,20 @@ func (c *Cache[K, S, V]) pruneTouched() {
 
 // StaleSince returns the scopes evicted after entrySeq — the ones a
 // store-and-patch reader must re-evaluate before serving an entry
-// stored at entrySeq. Order is unspecified. When more than max scopes
-// are behind, it reports tooMany and the caller should rebuild from
-// scratch instead of patching.
-func (c *Cache[K, S, V]) StaleSince(entrySeq uint64, max int) (stale []S, tooMany bool) {
+// stored at entrySeq. Order is unspecified.
+func (c *Cache[K, S, V]) StaleSince(entrySeq uint64) []S {
 	c.fmu.RLock()
 	defer c.fmu.RUnlock()
 	if c.seq <= entrySeq {
-		return nil, false
+		return nil
 	}
+	var stale []S
 	for s, at := range c.touched {
 		if at > entrySeq {
-			if len(stale) == max {
-				return nil, true
-			}
 			stale = append(stale, s)
 		}
 	}
-	return stale, false
+	return stale
 }
 
 // Invalidate clears the cache and bumps the generation, fencing off

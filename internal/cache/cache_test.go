@@ -122,23 +122,23 @@ func TestPutFencedLazyStaleness(t *testing.T) {
 	if !ok || v != "set" {
 		t.Fatalf("Lookup = (%q,%v)", v, ok)
 	}
-	stale, tooMany := c.StaleSince(entrySeq, 64)
-	if tooMany || len(stale) != 1 || stale[0] != "w" {
-		t.Fatalf("StaleSince = (%v,%v), want ([w],false)", stale, tooMany)
+	if stale := c.StaleSince(entrySeq); len(stale) != 1 || stale[0] != "w" {
+		t.Fatalf("StaleSince = %v, want [w]", stale)
 	}
 	// An entry stored at the current fence has nothing to patch.
 	_, seq2 := c.Fence()
 	c.PutFenced("v", "set2", scopesOf("v"), gen, seq2)
 	_, eseq, _ := c.Lookup("v")
-	if stale, _ := c.StaleSince(eseq, 64); len(stale) != 0 {
+	if stale := c.StaleSince(eseq); len(stale) != 0 {
 		t.Fatalf("fresh entry stale = %v", stale)
 	}
-	// Too many evictions behind → rebuild signal.
-	for i := 0; i < 5; i++ {
+	// However far behind an entry falls, every scope evicted since is
+	// named — the reader patches for all of them.
+	for i := 0; i < 100; i++ {
 		c.EvictScopes(scopesOf(fmt.Sprintf("x%d", i)))
 	}
-	if _, tooMany := c.StaleSince(entrySeq, 3); !tooMany {
-		t.Fatal("StaleSince under-limit did not report tooMany")
+	if stale := c.StaleSince(entrySeq); len(stale) != 101 {
+		t.Fatalf("StaleSince named %d scopes, want 101", len(stale))
 	}
 }
 

@@ -59,6 +59,9 @@ type Recommender struct {
 	// subset — e.g. the query user's cluster from package clustering,
 	// the speed-up of Ntoutsi et al. [17] the paper's related work
 	// discusses. nil (or a nil return) scans every user in the store.
+	// With a Cache, whether v is a candidate of u must depend on u's and
+	// v's data only: a cached set is patched for the written users alone,
+	// so a write to w must not move v in or out of u's candidates.
 	Candidates func(model.UserID) []model.UserID
 	// Cache optionally memoizes peer sets across requests. Peer
 	// discovery scans every candidate user, so group recommendation —
@@ -109,16 +112,15 @@ type PeerCacheOptions struct {
 //     in-flight Put carrying the older generation is dropped, so a peer
 //     set computed against a pre-flush snapshot can never land.
 //   - Eviction sequence (scoped): EvictUsers(users) deletes each user's
-//     own entry plus every cached set containing one of them (each set
-//     is indexed under its owner and every member as eviction scopes),
-//     and records the users as touched at the current sequence. A
-//     cached set stored before a touch does not know about it; Lookup
-//     reports those touched users as stale, and the Recommender
-//     re-evaluates exactly them (a write to u can also pull u INTO
-//     another user's peer set, so deleting containing sets alone would
-//     not be enough). Entries stored by in-flight Puts after an
-//     eviction carry the pre-eviction sequence and are patched the
-//     same way on next read.
+//     own set — a write to u can change every pair (u, other) — and
+//     records the users as touched at the current sequence. Every other
+//     set stays resident: a set stored before a touch does not know
+//     about it, so Lookup reports those touched users as stale and the
+//     Recommender re-evaluates exactly them, in both directions across
+//     δ (a write to u can pull u INTO another user's peer set as well
+//     as out of it). Entries stored by in-flight Puts after an eviction
+//     carry the pre-eviction sequence and are patched the same way on
+//     next read.
 //
 // TTL expiry and LRU capacity eviction only remove sets — the next
 // Peers call rebuilds from current data, so no staleness can arise
@@ -131,9 +133,11 @@ type PeerCache struct {
 // effectiveness counters.
 type CacheStats struct {
 	// Hits and Misses count Lookup outcomes since the cache was built
-	// (Invalidate clears entries but not the counters).
+	// (Invalidate clears entries but not the counters). A hit is a
+	// resident set served as stored or after patching it for the users
+	// written since; a miss costs a full peer scan.
 	Hits, Misses uint64
-	// Evictions counts sets dropped by scoped eviction, the LRU
+	// Evictions counts sets dropped by a write to their owner, the LRU
 	// capacity bound, or full invalidation; Expirations counts sets
 	// aged out by the TTL.
 	Evictions, Expirations uint64
@@ -190,17 +194,6 @@ func (c *PeerCache) TTL() time.Duration { return c.c.TTL() }
 // The cache remains usable afterwards.
 func (c *PeerCache) Close() { c.c.Close() }
 
-// scopesOf lists the eviction scopes of owner's peer set: the owner
-// plus every member, so a write to any of them reaches the set.
-func scopesOf(owner model.UserID, peers []Peer) []model.UserID {
-	scopes := make([]model.UserID, 0, len(peers)+1)
-	scopes = append(scopes, owner)
-	for _, p := range peers {
-		scopes = append(scopes, p.User)
-	}
-	return scopes
-}
-
 // Get returns a copy of the cached peer set for u if it is present and
 // fully fresh (no touched users to re-evaluate). Callers that can patch
 // partially-stale sets should use Lookup instead.
@@ -212,32 +205,43 @@ func (c *PeerCache) Get(u model.UserID) ([]Peer, bool) {
 	return peers, true
 }
 
-// maxStalePatch bounds how many stale users a Lookup will hand back
-// for patching. A set that fell further behind than this is cheaper to
-// rebuild with a full scan than to patch user by user, so Lookup
-// treats it as a miss (the following Put refreshes the entry).
-const maxStalePatch = 64
-
 // Lookup returns a copy of the cached peer set for u together with the
 // users evicted since the set was stored (ascending). The set is exact
 // except possibly for those stale users: each must be re-evaluated
 // against the current similarity and dropped/inserted accordingly (see
 // Recommender.Peers), after which the patched set can be Put back.
-// Sets more than maxStalePatch evictions behind report a miss.
 func (c *PeerCache) Lookup(u model.UserID) (peers []Peer, stale []model.UserID, ok bool) {
+	set, stale, ok := c.lookup(u)
+	if !ok {
+		return nil, nil, false
+	}
+	return append([]Peer(nil), set...), stale, true
+}
+
+// lookup is Lookup without the copy: set is the cache's own slice and
+// must not be modified. When u itself is stale the set is reported as a
+// miss: EVERY pair (u, other) may have changed — a set for u stored by
+// a computation that raced the write to u (the eviction deleted u's
+// entry, but a late Put can reinstate it) is wrong in entries the stale
+// list does not name, so only a full scan can rebuild it.
+func (c *PeerCache) lookup(u model.UserID) (set []Peer, stale []model.UserID, ok bool) {
 	set, entrySeq, ok := c.c.Lookup(u)
+	if ok {
+		stale = c.c.StaleSince(entrySeq)
+		for _, t := range stale {
+			if t == u {
+				ok = false
+				break
+			}
+		}
+	}
 	if !ok {
 		c.c.RecordMiss()
 		return nil, nil, false
 	}
-	stale, tooMany := c.c.StaleSince(entrySeq, maxStalePatch)
-	if tooMany {
-		c.c.RecordMiss()
-		return nil, nil, false // too far behind; rebuild instead
-	}
 	sort.Slice(stale, func(a, b int) bool { return stale[a] < stale[b] })
 	c.c.RecordHit()
-	return append([]Peer(nil), set...), stale, true
+	return set, stale, true
 }
 
 // Generation returns the current invalidation generation; capture it
@@ -253,15 +257,19 @@ func (c *PeerCache) Fence() (gen, seq uint64) { return c.c.Fence() }
 // since gen was captured; scoped evictions since seq are reconciled
 // lazily by Lookup's stale reporting.
 func (c *PeerCache) Put(u model.UserID, peers []Peer, gen, seq uint64) {
-	c.c.PutFenced(u, append([]Peer(nil), peers...), scopesOf(u, peers), gen, seq)
+	c.put(u, append([]Peer(nil), peers...), gen, seq)
+}
+
+// put is Put without the copy: the cache takes the slice over and the
+// caller must not modify it afterwards.
+func (c *PeerCache) put(u model.UserID, peers []Peer, gen, seq uint64) {
+	c.c.PutFenced(u, peers, []model.UserID{u}, gen, seq)
 }
 
 // EvictUsers routes a write touching users down the cache: each user's
-// own peer set goes, as does every cached set containing one of them
-// (found through the engine's scope index, so cost is O(affected
-// sets), not a scan of the table), and the users are recorded as
-// touched so sets stored by in-flight computations get patched on
-// their next read. All other sets stay warm. The engine periodically
+// own peer set goes, and the users are recorded as touched so every
+// other set — resident now or stored late by an in-flight computation
+// — gets patched for them on its next read. The engine periodically
 // prunes touch records no live entry can still be behind on, so the
 // metadata doesn't grow with every user ever written.
 func (c *PeerCache) EvictUsers(users []model.UserID) {
@@ -302,80 +310,98 @@ func (r *Recommender) qualifies(s float64, ok bool) bool {
 	return true
 }
 
-// sortPeers orders peers best-first with ties on ascending user ID —
-// the canonical order the full scan produces (candidates are visited in
-// ascending ID order and the insertion sort below is stable), so a
-// patched cached set sorts back into exactly the fresh-scan order.
-func sortPeers(peers []Peer) {
-	sort.Slice(peers, func(i, j int) bool {
-		if peers[i].Sim != peers[j].Sim {
-			return peers[i].Sim > peers[j].Sim
-		}
-		return peers[i].User < peers[j].User
-	})
+// before is the canonical peer order: best-first, ties on ascending
+// user ID. The full scan produces it by sorting stably over candidates
+// visited in ascending ID order, so a patched set merged under the same
+// relation is exactly the fresh-scan order.
+func before(a, b Peer) bool {
+	if a.Sim != b.Sim {
+		return a.Sim > b.Sim
+	}
+	return a.User < b.User
 }
 
-// patchPeers reconciles a cached peer set with the users evicted since
-// it was stored: stale users are dropped and re-evaluated against the
-// current similarity — a write can move a user across the δ threshold
-// in either direction, so both directions must be rechecked. The result
-// is element-wise identical to a from-scratch scan because every
-// retained entry is untouched by construction and every stale user gets
-// the same evaluation the scan would give it.
-//
-// ok=false means the set cannot be patched and the caller must fall
-// back to a full scan: when u itself is stale, EVERY pair (u, other)
-// may have changed — a set for u stored by a computation that raced
-// the write to u (the eviction deleted entries[u], but a late Put can
-// reinstate it) is wrong in entries the stale list does not name.
-func (r *Recommender) patchPeers(u model.UserID, cached []Peer, stale []model.UserID) ([]Peer, bool) {
-	drop := make(map[model.UserID]struct{}, len(stale))
-	for _, t := range stale {
-		if t == u {
-			return nil, false
-		}
-		drop[t] = struct{}{}
+// patchPeers reconciles a cached peer set with the users written since
+// it was stored (stale, ascending, never u itself): stale users are
+// dropped and re-evaluated exactly as the scan would evaluate them —
+// the same candidate universe, the same similarity, the same Def. 1
+// predicate — because a write can move a user across δ, or in and out
+// of the universe, in either direction. Every retained entry is
+// untouched by construction and already in canonical order, so merging
+// the re-evaluated users into it yields a set element-wise identical
+// to a from-scratch scan. cached is the cache's own slice and is only
+// read.
+func (r *Recommender) patchPeers(u model.UserID, cached []Peer, stale []model.UserID) []Peer {
+	// inUniverse doubles as the drop set: its keys are the stale users,
+	// its values whether the scan would visit them at all.
+	inUniverse := make(map[model.UserID]bool, len(stale))
+	var cs []model.UserID
+	if r.Candidates != nil {
+		cs = r.Candidates(u)
 	}
-	patched := make([]Peer, 0, len(cached)+len(stale))
-	for _, p := range cached {
-		if _, hit := drop[p.User]; !hit {
-			patched = append(patched, p)
+	if cs != nil {
+		for _, t := range stale {
+			inUniverse[t] = false
+		}
+		for _, c := range cs {
+			if _, isStale := inUniverse[c]; isStale {
+				inUniverse[c] = true
+			}
+		}
+	} else {
+		sn := r.Store.Snapshot()
+		for _, t := range stale {
+			_, inUniverse[t] = sn.Row(t)
 		}
 	}
+	var fresh []Peer
 	for _, t := range stale {
+		if !inUniverse[t] {
+			continue
+		}
 		if s, ok := r.Sim.Similarity(u, t); r.qualifies(s, ok) {
-			patched = append(patched, Peer{User: t, Sim: s})
+			fresh = append(fresh, Peer{User: t, Sim: s})
 		}
 	}
-	sortPeers(patched)
-	return patched, true
+	sort.Slice(fresh, func(i, j int) bool { return before(fresh[i], fresh[j]) })
+	patched := make([]Peer, 0, len(cached)+len(fresh))
+	for _, p := range cached {
+		if _, isStale := inUniverse[p.User]; isStale {
+			continue
+		}
+		for len(fresh) > 0 && before(fresh[0], p) {
+			patched = append(patched, fresh[0])
+			fresh = fresh[1:]
+		}
+		patched = append(patched, p)
+	}
+	return append(patched, fresh...)
 }
 
 // Peers returns P_u: every other user whose similarity to u is ≥ δ
 // (Def. 1), best-first with ties on ascending user ID. Users for whom
 // simU is undefined are excluded.
 func (r *Recommender) Peers(u model.UserID) ([]Peer, error) {
+	peers, err := r.peers(u)
+	return append([]Peer(nil), peers...), err
+}
+
+// peers is Peers without the defensive copy: the result may be the
+// cached slice itself and must only be read.
+func (r *Recommender) peers(u model.UserID) ([]Peer, error) {
 	if err := r.check(); err != nil {
 		return nil, err
 	}
 	if r.Cache != nil {
-		if ps, stale, ok := r.Cache.Lookup(u); ok {
-			if len(stale) == 0 {
-				return ps, nil
+		if set, stale, ok := r.Cache.lookup(u); ok {
+			if len(stale) > 0 {
+				set = r.patchPeers(u, set, stale)
+				r.Cache.put(u, set, r.CacheGen, r.CacheSeq)
 			}
-			// Patching inserts qualifying stale users without consulting
-			// r.Candidates; with a candidate restriction the full scan is
-			// the only path that applies it, so rebuild instead.
-			if r.Candidates == nil {
-				if patched, ok := r.patchPeers(u, ps, stale); ok {
-					r.Cache.Put(u, patched, r.CacheGen, r.CacheSeq)
-					return patched, nil
-				}
-			}
-			// unpatchable — fall through to the full scan below
+			return set, nil
 		}
 	}
-	candidates := r.Store.Users() // ascending, for deterministic ties
+	candidates := r.Store.Snapshot().Users() // ascending, for deterministic ties
 	if r.Candidates != nil {
 		if cs := r.Candidates(u); cs != nil {
 			candidates = append([]model.UserID(nil), cs...)
@@ -393,14 +419,12 @@ func (r *Recommender) Peers(u model.UserID) ([]Peer, error) {
 		}
 		peers = append(peers, Peer{User: other, Sim: s})
 	}
-	// Users() is ascending, so equal-similarity peers are already in
+	// Candidates are ascending, so equal-similarity peers are already in
 	// ID order; sort stably by similarity descending.
-	for i := 1; i < len(peers); i++ {
-		for j := i; j > 0 && peers[j].Sim > peers[j-1].Sim; j-- {
-			peers[j], peers[j-1] = peers[j-1], peers[j]
-		}
-	}
+	sort.SliceStable(peers, func(i, j int) bool { return peers[i].Sim > peers[j].Sim })
 	if r.Cache != nil {
+		// Put's copy drops the slack append left behind; the set may stay
+		// resident for a long time.
 		r.Cache.Put(u, peers, r.CacheGen, r.CacheSeq)
 	}
 	return peers, nil
@@ -408,7 +432,7 @@ func (r *Recommender) Peers(u model.UserID) ([]Peer, error) {
 
 // PeerSet returns the peers as a map for O(1) membership checks.
 func (r *Recommender) PeerSet(u model.UserID) (map[model.UserID]float64, error) {
-	peers, err := r.Peers(u)
+	peers, err := r.peers(u)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +453,7 @@ func (r *Recommender) Relevance(u model.UserID, i model.ItemID) (score float64, 
 	if r.Store.HasRated(u, i) {
 		return 0, false, fmt.Errorf("%w: user %s item %s", ErrAlreadyRated, u, i)
 	}
-	peers, err := r.Peers(u)
+	peers, err := r.peers(u)
 	if err != nil {
 		return 0, false, err
 	}
@@ -463,7 +487,7 @@ func (r *Recommender) AllRelevances(u model.UserID) (map[model.ItemID]float64, e
 	if err := r.check(); err != nil {
 		return nil, err
 	}
-	peers, err := r.Peers(u)
+	peers, err := r.peers(u)
 	if err != nil {
 		return nil, err
 	}

@@ -9,9 +9,11 @@ import (
 	"sync"
 	"testing"
 
+	"fairhealth/internal/dataset"
 	"fairhealth/internal/model"
 	"fairhealth/internal/ratings"
 	"fairhealth/internal/simfn"
+	"fairhealth/internal/snomed"
 )
 
 // fixedSim builds a similarity measure from a symmetric table keyed by
@@ -403,8 +405,9 @@ func TestPeerCacheDropsStalePut(t *testing.T) {
 	}
 }
 
-// TestPeerCacheEvictUsers: scoped eviction drops the touched user's own
-// set plus every set containing them, and leaves the rest warm.
+// TestPeerCacheEvictUsers: scoped eviction drops only the touched
+// user's own set; every other set stays resident — whether or not it
+// holds the user — and names the user for recheck.
 func TestPeerCacheEvictUsers(t *testing.T) {
 	c := NewPeerCache()
 	gen, seq := c.Fence()
@@ -412,24 +415,26 @@ func TestPeerCacheEvictUsers(t *testing.T) {
 	c.Put("v", []Peer{{User: "b", Sim: 0.8}}, gen, seq)
 	c.Put("a", []Peer{{User: "u", Sim: 0.9}}, gen, seq)
 	c.EvictUsers([]model.UserID{"a"})
-	if _, ok := c.Get("a"); ok {
+	if _, _, ok := c.Lookup("a"); ok {
 		t.Error("evicted user's own set survived")
 	}
-	if _, ok := c.Get("u"); ok {
-		t.Error("set containing the evicted user survived")
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
+		t.Errorf("evictions = %d, entries = %d; want 1, 2", st.Evictions, st.Entries)
 	}
-	// v's set stays warm but is no longer blindly servable: the write to
-	// "a" could have pulled "a" into it, so Lookup flags "a" for recheck
-	// (and Get, which only serves fully-fresh sets, misses).
-	ps, stale, ok := c.Lookup("v")
-	if !ok || len(ps) != 1 || ps[0].User != "b" {
-		t.Errorf("untouched set lost: %v, %v", ps, ok)
-	}
-	if len(stale) != 1 || stale[0] != "a" {
-		t.Errorf("stale = %v, want [a] (evicted user must be rechecked)", stale)
-	}
-	if _, ok := c.Get("v"); ok {
-		t.Error("Get served a set with pending rechecks")
+	// Neither survivor is blindly servable: the write to "a" could push
+	// it out of u's set or pull it into v's, so Lookup flags "a" for
+	// recheck (and Get, which only serves fully-fresh sets, misses).
+	for owner, member := range map[model.UserID]model.UserID{"u": "a", "v": "b"} {
+		ps, stale, ok := c.Lookup(owner)
+		if !ok || len(ps) != 1 || ps[0].User != member {
+			t.Errorf("%s's set lost: %v, %v", owner, ps, ok)
+		}
+		if len(stale) != 1 || stale[0] != "a" {
+			t.Errorf("%s: stale = %v, want [a] (evicted user must be rechecked)", owner, stale)
+		}
+		if _, ok := c.Get(owner); ok {
+			t.Errorf("Get served %s's set with pending rechecks", owner)
+		}
 	}
 }
 
@@ -562,5 +567,138 @@ func TestPeersSelfStaleForcesFullScan(t *testing.T) {
 	// The rebuilt set is stored clean.
 	if ps, stale, ok := cache.Lookup("u"); !ok || len(stale) != 0 || !reflect.DeepEqual(ps, want) {
 		t.Errorf("rebuilt set not stored clean: ok=%v stale=%v ps=%+v", ok, stale, ps)
+	}
+}
+
+// TestPatchedPeersEqualFreshScan is the property behind keeping peer
+// sets resident across other users' writes: after any sequence of
+// rating writes — a user's first and last rating, pushes across δ in
+// both directions, several written users between reads — a cached set
+// patched for the written users equals a cache-free scan element-wise
+// and in order. It runs for a measure that reads ratings (Pearson:
+// writes move similarities) and one that does not (profile cosine:
+// writes move only the candidate universe), with the candidate
+// restriction off and on.
+func TestPatchedPeersEqualFreshScan(t *testing.T) {
+	ds, err := dataset.Generate(dataset.Config{Seed: 23, Users: 40, Items: 24, RatingsPerUser: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := simfn.BuildProfileCosine(ds.Profiles, snomed.Load(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const minOverlap = 2
+	cases := []struct {
+		name  string
+		sim   func(*ratings.Store) simfn.UserSimilarity
+		delta float64
+	}{
+		{"pearson", func(st *ratings.Store) simfn.UserSimilarity {
+			return simfn.Normalized{S: simfn.Pearson{Store: st, MinOverlap: minOverlap}}
+		}, 0.55},
+		{"profile", func(*ratings.Store) simfn.UserSimilarity { return pc }, 0.05},
+	}
+	for _, tc := range cases {
+		for _, restrict := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/candidates=%v", tc.name, restrict), func(t *testing.T) {
+				store := ds.Ratings.Clone()
+				users := store.Users()
+				items := store.Items()
+				sim := tc.sim(store)
+				rng := rand.New(rand.NewSource(5))
+				// The restriction a real owner would plug in: co-raters of u,
+				// a function of u's and the candidate's data only. Shuffled,
+				// because neither path may assume an order.
+				var candidates func(model.UserID) []model.UserID
+				if restrict {
+					candidates = func(u model.UserID) []model.UserID {
+						out := []model.UserID{}
+						for _, v := range users {
+							if v != u && len(store.CoRated(u, v)) >= minOverlap {
+								out = append(out, v)
+							}
+						}
+						rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
+						return out
+					}
+				}
+				cache := NewPeerCache()
+				newRec := func(c *PeerCache) *Recommender {
+					r := &Recommender{Store: store, Sim: sim, Delta: tc.delta, RequirePositive: true, Candidates: candidates, Cache: c}
+					if c != nil {
+						r.CacheGen, r.CacheSeq = c.Fence()
+					}
+					return r
+				}
+				write := func(u model.UserID) {
+					rated := store.ItemsRatedBy(u)
+					switch op := rng.Intn(10); {
+					case len(rated) == 0 || op >= 5: // first rating, add, or change
+						_ = store.Add(u, items[rng.Intn(len(items))], model.Rating(1+rng.Intn(5)))
+					case op == 0: // the last rating goes: u leaves the universe
+						for _, i := range rated {
+							_ = store.Remove(u, i)
+						}
+					default:
+						_ = store.Remove(u, rated[rng.Intn(len(rated))])
+					}
+					cache.EvictUsers([]model.UserID{u}) // the owner's protocol: store first, then evict
+				}
+				var patched, inserted, dropped, left, joined int
+				for step := 0; step < 300; step++ {
+					for w := 1 + rng.Intn(4); w > 0; w-- {
+						u := users[rng.Intn(len(users))]
+						before := store.NumRatedBy(u)
+						write(u)
+						switch after := store.NumRatedBy(u); {
+						case before == 0 && after > 0:
+							joined++
+						case before > 0 && after == 0:
+							left++
+						}
+					}
+					for reads := 1 + rng.Intn(6); reads > 0; reads-- {
+						u := users[rng.Intn(len(users))]
+						old, stale, resident := cache.lookup(u)
+						old = append([]Peer(nil), old...)
+						got, err := newRec(cache).Peers(u)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := newRec(nil).Peers(u)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+							t.Fatalf("step %d, user %s (stale %v):\n served %+v\n scan   %+v", step, u, stale, got, want)
+						}
+						if !resident || len(stale) == 0 {
+							continue
+						}
+						patched++
+						has := func(ps []Peer, t model.UserID) bool {
+							for _, p := range ps {
+								if p.User == t {
+									return true
+								}
+							}
+							return false
+						}
+						for _, t := range stale {
+							switch was, is := has(old, t), has(got, t); {
+							case was && !is:
+								dropped++
+							case !was && is:
+								inserted++
+							}
+						}
+					}
+				}
+				if patched < 200 || inserted == 0 || dropped == 0 || left == 0 || joined == 0 {
+					t.Fatalf("coverage: %d patched reads, %d inserted, %d dropped, %d users left, %d joined", patched, inserted, dropped, left, joined)
+				}
+			})
+		}
 	}
 }

@@ -10,8 +10,10 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -116,11 +118,14 @@ type ScoredItem struct {
 // SortScoredItems orders items by score descending, breaking ties by
 // item ID ascending so every list in the system is deterministic.
 func SortScoredItems(items []ScoredItem) {
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Score != items[b].Score {
-			return items[a].Score > items[b].Score
+	slices.SortFunc(items, func(a, b ScoredItem) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return items[a].Item < items[b].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 }
 

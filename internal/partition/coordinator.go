@@ -918,9 +918,6 @@ func (c *Coordinator) ServeBatch(ctx context.Context, queries []fairhealth.Group
 // ServeStream mirrors System.ServeStream: queries fan out across the
 // Config.Workers budget with serial per-member assembly, entries are
 // yielded in completion order, fn is never called concurrently.
-// (Batch similarity pre-warming is a per-partition concern — each
-// owner's caches warm from the members it serves — so the coordinator
-// has no warming stage; results are unaffected.)
 func (c *Coordinator) ServeStream(ctx context.Context, queries []fairhealth.GroupQuery, fn func(fairhealth.BatchGroupResult) error) error {
 	if fn == nil {
 		return errors.New("partition: ServeStream requires a callback")

@@ -434,6 +434,46 @@ func (n *Networked) revive(p *netPeer) {
 // fails replication goes down and converges through catch-up, so the
 // write itself never fails on peer loss.
 
+// replicate sends one write to every live peer at once and waits for
+// them all; the caller holds writeMu, so writes still reach each peer
+// in commit order. A transport failure takes that peer down. A
+// WireError fails the write: validation ran locally first, so a peer
+// can only refuse a record it has diverged on — surface that loudly
+// rather than papering over it (the lowest refusing peer is returned
+// with its error, so the report does not depend on which reply arrived
+// first).
+func (n *Networked) replicate(send func(context.Context, *netPeer) error) (*netPeer, error) {
+	errs := make([]error, len(n.peers))
+	var wg sync.WaitGroup
+	for i, p := range n.peers {
+		if !p.live.Load() {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
+			defer cancel()
+			errs[i] = send(ctx, p)
+		}()
+	}
+	wg.Wait()
+	var refuser *netPeer
+	var refusal error
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		var we *transport.WireError
+		if !errors.As(err, &we) {
+			n.markDown(n.peers[i], err)
+		} else if refuser == nil {
+			refuser, refusal = n.peers[i], err
+		}
+	}
+	return refuser, refusal
+}
+
 func (n *Networked) commit(rec wal.Record, ownerKey string) error {
 	n.writeMu.Lock()
 	defer n.writeMu.Unlock()
@@ -443,25 +483,15 @@ func (n *Networked) commit(rec wal.Record, ownerKey string) error {
 	}
 	n.lastSeq.Store(rec.Seq)
 	n.journal.Append(rec)
-	for _, p := range n.peers {
-		if !p.live.Load() {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
-		err := p.client.Apply(ctx, rec)
-		cancel()
-		if err != nil {
-			var we *transport.WireError
-			if errors.As(err, &we) {
-				// Validation ran locally before the append, so a peer
-				// can only refuse a record it has diverged on —
-				// surface loudly rather than papering over it.
-				return fmt.Errorf("partition: apply seq %d on %s: %w", rec.Seq, p.addr, err)
-			}
-			n.markDown(p, err)
-			continue
+	refuser, err := n.replicate(func(ctx context.Context, p *netPeer) error {
+		if err := p.client.Apply(ctx, rec); err != nil {
+			return err
 		}
 		p.appliedSeq.Store(rec.Seq)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("partition: apply seq %d on %s: %w", rec.Seq, refuser.addr, err)
 	}
 	if p, ok := n.ring.OwnerLive(ownerKey, n.peerLive); ok {
 		n.peers[p].ownedWrites.Add(1)
@@ -511,20 +541,11 @@ func (n *Networked) AddDocument(id, title, body string) error {
 		return err
 	}
 	n.docs = append(n.docs, docEntry{id: id, title: title, body: body})
-	for _, p := range n.peers {
-		if !p.live.Load() {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
-		err := p.client.Document(ctx, id, title, body)
-		cancel()
-		if err != nil {
-			var we *transport.WireError
-			if errors.As(err, &we) {
-				return fmt.Errorf("partition: document %s on %s: %w", id, p.addr, err)
-			}
-			n.markDown(p, err)
-		}
+	refuser, err := n.replicate(func(ctx context.Context, p *netPeer) error {
+		return p.client.Document(ctx, id, title, body)
+	})
+	if err != nil {
+		return fmt.Errorf("partition: document %s on %s: %w", id, refuser.addr, err)
 	}
 	return nil
 }

@@ -456,6 +456,75 @@ func TestNetworkedKillRestartConverges(t *testing.T) {
 	}
 }
 
+// TestNetworkedWorkerKilledDuringCommit: commits replicate to the
+// peers in parallel, so a worker can die with Apply RPCs to all three
+// in flight. Every such write must still succeed (the dead peer is
+// marked down, not waited for or reported), and the worker restarted
+// empty must converge on exactly the coordinator's state.
+func TestNetworkedWorkerKilledDuringCommit(t *testing.T) {
+	coord, workers := startNetCluster(t, baseConfig(), 3)
+	seed(t, coord, 17, 24)
+	ids := coord.Patients()
+
+	const writes = 300
+	killAt := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for k := 0; k < writes; k++ {
+			if k == writes/3 {
+				close(killAt)
+			}
+			if err := coord.AddRating(ids[k%len(ids)], fmt.Sprintf("doc%04d", k%40), float64(1+k%5)); err != nil {
+				done <- fmt.Errorf("write %d: %w", k, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	<-killAt
+	workers[2].stop() // lands between or inside the commits that follow
+	if err := <-done; err != nil {
+		t.Fatalf("a write failed on peer loss: %v", err)
+	}
+	if live := coord.LiveCount(); live != 2 {
+		t.Fatalf("live peers = %d after the kill, want 2 (the dead worker marked down)", live)
+	}
+
+	workers[2].start(t)
+	waitLive(t, coord, 3)
+	for i, w := range workers {
+		if got, want := w.sys.Stats(), coord.Stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("worker %d diverged after rejoin: %+v vs %+v", i, got, want)
+		}
+	}
+	truth, err := fairhealth.New(baseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer truth.Close()
+	seed(t, truth, 17, 24)
+	for k := 0; k < writes; k++ {
+		if err := truth.AddRating(ids[k%len(ids)], fmt.Sprintf("doc%04d", k%40), float64(1+k%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, scorer := range []string{"user-cf", "item-cf", "profile"} {
+		q := fairhealth.GroupQuery{Members: []string{ids[1], ids[4], ids[9]}, Z: 5, Scorer: scorer, Explain: true}
+		want, err := truth.Serve(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := coord.Serve(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: rejoined deployment diverged from ground truth", scorer)
+		}
+	}
+}
+
 // TestNetworkedConfigMismatchRefused: a worker running different
 // scoring parameters must be refused at the handshake, not silently
 // served against.

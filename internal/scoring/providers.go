@@ -2,7 +2,6 @@ package scoring
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"fairhealth/internal/candidates"
 	"fairhealth/internal/cf"
@@ -61,50 +60,66 @@ func (p *userCF) InvalidateAll()                 {}
 func (p *userCF) Close()                         {}
 
 // ---------------------------------------------------------------------------
-// item-cf — item-based CF over internal/itemcf. The neighbor model is
-// a global function of the ratings, so any rating write dirties the
-// whole model; the rebuild is lazy (next query pays it, a write burst
-// pays once) and fenced by the owner's group-input memo, so a serve
-// racing a write can see either side but never persists pre-write
-// scores.
+// item-cf — item-based CF over internal/itemcf. A rating write changes
+// the model only through the writer's item set, so writes record dirty
+// users and the next query patches the model for exactly them
+// (itemcf.Update; a write burst pays once). The patch is fenced by the
+// owner's group-input memo, so a serve racing a write can see either
+// side but never persists pre-write scores.
 
 type itemCF struct {
 	rec *itemcf.Recommender
-	// dirty marks the model stale. It is cleared BEFORE a rebuild
-	// starts reading the store, so a write landing mid-build re-dirties
-	// and the next call rebuilds again — the model can lag a racing
-	// write but never misses one.
-	dirty   atomic.Bool
+
+	// mu guards the record of what the model has not seen yet: the users
+	// written since it last read the store, or all — no model yet, or a
+	// change of unknown reach.
+	mu    sync.Mutex
+	dirty map[model.UserID]struct{}
+	all   bool
+
 	buildMu sync.Mutex
 }
 
 func newItemCF(d Deps) Provider {
-	p := &itemCF{rec: &itemcf.Recommender{Store: d.Ratings, MinOverlap: d.MinOverlap}}
-	p.dirty.Store(true)
-	return p
+	return &itemCF{rec: &itemcf.Recommender{Store: d.Ratings, MinOverlap: d.MinOverlap}, all: true}
 }
 
 func (p *itemCF) Name() string { return NameItemCF }
 
-// model returns the recommender with a fresh neighbor build when a
-// write dirtied it. Every caller passes through buildMu — there is no
-// lock-free fast path, because a reader overlapping a rebuild would
-// otherwise see dirty==false (cleared when the build STARTED) and
-// serve the old model: its assembly would carry a fence sequence
-// captured after the write's eviction, so the stale result would be
-// admitted to the group memo and served warm until the next write.
-// Outside a rebuild the critical section is a load and a pointer
-// return; during one, queueing readers behind the build is exactly
-// the freshness the fence requires.
+// model returns the recommender, brought up to date when a write
+// dirtied it. The dirty record is taken BEFORE the update reads the
+// store, so a write landing mid-update re-dirties and the next call
+// patches again — the model can lag a racing write but never misses
+// one. Every caller passes through buildMu — there is no lock-free
+// fast path, because a reader overlapping an update would otherwise
+// find nothing dirty (taken when the update STARTED) and serve the old
+// model: its assembly would carry a fence sequence captured after the
+// write's eviction, so the stale result would be admitted to the group
+// memo and served warm until the next write. Outside an update the
+// critical section is two lock round trips and a pointer return;
+// during one, queueing readers behind it is exactly the freshness the
+// fence requires.
 func (p *itemCF) model() (*itemcf.Recommender, error) {
 	p.buildMu.Lock()
 	defer p.buildMu.Unlock()
-	if p.dirty.Load() {
-		p.dirty.Store(false)
-		if err := p.rec.Build(); err != nil {
-			p.dirty.Store(true)
-			return nil, err
+	p.mu.Lock()
+	dirty, all := p.dirty, p.all
+	p.dirty, p.all = nil, false
+	p.mu.Unlock()
+	var err error
+	switch {
+	case all:
+		err = p.rec.Build()
+	case len(dirty) > 0:
+		users := make([]model.UserID, 0, len(dirty))
+		for u := range dirty {
+			users = append(users, u)
 		}
+		err = p.rec.Update(users)
+	}
+	if err != nil {
+		p.InvalidateAll()
+		return nil, err
 	}
 	return p.rec, nil
 }
@@ -125,9 +140,26 @@ func (p *itemCF) Relevance(u model.UserID, i model.ItemID) (float64, bool, error
 	return rec.Relevance(u, i)
 }
 
-func (p *itemCF) InvalidateUsers([]model.UserID) { p.dirty.Store(true) }
-func (p *itemCF) InvalidateAll()                 { p.dirty.Store(true) }
-func (p *itemCF) Close()                         {}
+func (p *itemCF) InvalidateUsers(users []model.UserID) {
+	p.mu.Lock()
+	if !p.all {
+		if p.dirty == nil {
+			p.dirty = make(map[model.UserID]struct{}, len(users))
+		}
+		for _, u := range users {
+			p.dirty[u] = struct{}{}
+		}
+	}
+	p.mu.Unlock()
+}
+
+func (p *itemCF) InvalidateAll() {
+	p.mu.Lock()
+	p.dirty, p.all = nil, true
+	p.mu.Unlock()
+}
+
+func (p *itemCF) Close() {}
 
 // ---------------------------------------------------------------------------
 // profile — user-user CF with peers selected by profile-cosine
@@ -135,10 +167,11 @@ func (p *itemCF) Close()                         {}
 // (internal/cache instantiations via the simfn/cf adapters) because
 // the owner's shared layers are built for the configured measure.
 // Rating writes leave the similarity memo warm (profile cosine is a
-// function of profiles only) but evict the touched users' peer sets —
+// function of profiles only) but touch the writers in the peer cache —
 // the peer-scan candidate universe is the set of RATED users, which a
-// first or last rating changes. Profile writes rebuild the corpus and
-// flush the peer sets.
+// first or last rating changes, so every other set re-checks a writer
+// on its next read. Profile writes rebuild the corpus and flush the
+// peer sets.
 
 type profileCF struct {
 	deps  Deps
@@ -281,14 +314,14 @@ func (p *profileCF) Relevance(u model.UserID, i model.ItemID) (float64, bool, er
 	return rec.Relevance(u, i)
 }
 
-// InvalidateUsers evicts the touched users from the peer cache. The
+// InvalidateUsers records the touched users in the peer cache. The
 // SIMILARITY memo stays warm — profile cosine really is a function of
 // profiles only — but peer sets are not ratings-independent: the
-// candidate universe a peer scan ranges over is Store.Users(), so a
+// candidate universe a peer scan ranges over is the rated users, so a
 // user's first-ever rating pulls them INTO profile-similar users'
 // peer sets (and removing their last rating drops them out). Without
-// the eviction, warm peer sets would permanently miss the newcomer
-// and warm serves would diverge from a cold rebuild.
+// the touch, warm peer sets would permanently miss the newcomer and
+// warm serves would diverge from a cold rebuild.
 func (p *profileCF) InvalidateUsers(users []model.UserID) {
 	p.peers.EvictUsers(users)
 }

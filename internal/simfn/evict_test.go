@@ -133,7 +133,7 @@ func TestEvictRowsFencesInflightLookup(t *testing.T) {
 	warmDone := make(chan struct{})
 	go func() {
 		defer close(warmDone)
-		if _, err := c.WarmRows(context.Background(), []model.UserID{"a"}, []model.UserID{"a", "b"}, 1); err != nil {
+		if _, err := c.WarmAll(context.Background(), []model.UserID{"a", "b"}, 1); err != nil {
 			t.Error(err)
 		}
 	}()

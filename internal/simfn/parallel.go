@@ -52,33 +52,10 @@ func (c *Cached) Entries() []Pair {
 // GOMAXPROCS. It returns the number of entries added; on context
 // cancellation it stops early, keeps the (valid) partial cache, and
 // returns ctx.Err().
-func (c *Cached) WarmAll(ctx context.Context, users []model.UserID, workers int) (int, error) {
-	return c.warm(ctx, users, nil, workers)
-}
-
-// WarmRows computes the full similarity rows of the given users against
-// the candidate set (every pair {row, candidate}) in parallel and
-// merges them into the cache — the targeted warm-up for a batch of
-// group requests, where only the members' rows are needed. Semantics
-// match WarmAll.
-func (c *Cached) WarmRows(ctx context.Context, rows, candidates []model.UserID, workers int) (int, error) {
-	return c.warm(ctx, rows, candidates, workers)
-}
-
-// Precompute builds a Cached over base with the full pairwise matrix of
-// users already materialized in parallel.
-func Precompute(ctx context.Context, base UserSimilarity, users []model.UserID, workers int) (*Cached, error) {
-	c := NewCached(base)
-	_, err := c.WarmAll(ctx, users, workers)
-	return c, err
-}
-
-// warm shards rows across a worker pool. cols == nil means triangular
-// mode: rows[i] pairs with rows[j], j > i (the full matrix with no
-// duplicate work). Otherwise each row pairs with every candidate; pairs
-// whose both endpoints are rows are assigned to the earlier row so no
-// two workers compute the same entry.
-func (c *Cached) warm(ctx context.Context, rows, cols []model.UserID, workers int) (int, error) {
+//
+// Rows are sharded across a worker pool in triangular mode: rows[i]
+// pairs with rows[j], j > i — the full matrix with no duplicate work.
+func (c *Cached) WarmAll(ctx context.Context, rows []model.UserID, workers int) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -100,21 +77,7 @@ func (c *Cached) warm(ctx context.Context, rows, cols []model.UserID, workers in
 		// Cold warm: Keys returned an unsized empty map, but the dedup
 		// set will hold every visited pair — pre-size it so its growth
 		// doesn't dominate the warm's allocation profile.
-		total := 0
-		if cols == nil {
-			total = len(rows) * (len(rows) - 1) / 2
-		} else {
-			total = len(rows) * len(cols)
-		}
-		existing = make(map[pairKey]struct{}, total)
-	}
-
-	var rowPos map[model.UserID]int
-	if cols != nil {
-		rowPos = make(map[model.UserID]int, len(rows))
-		for i, u := range rows {
-			rowPos[u] = i
-		}
+		existing = make(map[pairKey]struct{}, len(rows)*(len(rows)-1)/2)
 	}
 
 	if workers <= 0 {
@@ -134,16 +97,9 @@ func (c *Cached) warm(ctx context.Context, rows, cols []model.UserID, workers in
 				break
 			}
 			a := rows[r]
-			others := cols
-			if others == nil {
-				others = rows[r+1:]
-			}
-			for _, b := range others {
+			for _, b := range rows[r+1:] {
 				if a == b {
 					continue
-				}
-				if p, isRow := rowPos[b]; isRow && p < r {
-					continue // the earlier row owns this pair
 				}
 				k := canonical(a, b)
 				if _, done := existing[k]; done {
@@ -159,28 +115,21 @@ func (c *Cached) warm(ctx context.Context, rows, cols []model.UserID, workers in
 		return added, ctx.Err()
 	}
 
-	// Row-at-a-time work stealing (rows have uneven pair counts,
-	// triangular mode especially): each row is computed into a private
-	// map — pooled across rows to keep the warm loop allocation-light —
-	// and merged under the cache lock once complete, so concurrent
-	// readers only ever observe finished entries.
+	// Row-at-a-time work stealing (triangular rows have uneven pair
+	// counts): each row is computed into a private map — pooled across
+	// rows to keep the warm loop allocation-light — and merged under the
+	// cache lock once complete, so concurrent readers only ever observe
+	// finished entries.
 	var added atomic.Int64
 	pool.Each(len(rows), workers, func(r int) {
 		if ctx.Err() != nil {
 			return
 		}
 		a := rows[r]
-		others := cols
-		if others == nil {
-			others = rows[r+1:]
-		}
 		local := warmScratch.Get().(map[pairKey]cacheEntry)
-		for _, b := range others {
+		for _, b := range rows[r+1:] {
 			if a == b {
 				continue
-			}
-			if p, isRow := rowPos[b]; isRow && p < r {
-				continue // the earlier row owns this pair
 			}
 			k := canonical(a, b)
 			if _, done := existing[k]; done {
@@ -213,4 +162,12 @@ func (c *Cached) warm(ctx context.Context, rows, cols []model.UserID, workers in
 // path. Maps are returned empty (the merge loop deletes as it drains).
 var warmScratch = sync.Pool{
 	New: func() any { return make(map[pairKey]cacheEntry, 64) },
+}
+
+// Precompute builds a Cached over base with the full pairwise matrix of
+// users already materialized in parallel.
+func Precompute(ctx context.Context, base UserSimilarity, users []model.UserID, workers int) (*Cached, error) {
+	c := NewCached(base)
+	_, err := c.WarmAll(ctx, users, workers)
+	return c, err
 }

@@ -83,37 +83,6 @@ func TestWarmAllMatchesSerialAndLazy(t *testing.T) {
 	}
 }
 
-func TestWarmRowsCoversRowPairs(t *testing.T) {
-	st, users := warmStore(t, 20, 30)
-	base := warmMeasure(st)
-	c := NewCached(base)
-	rows := users[:3]
-	n, err := c.WarmRows(context.Background(), rows, users, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 full rows minus the 3 double-counted intra-row pairs.
-	want := 3*(len(users)-1) - 3
-	if n != want {
-		t.Fatalf("added %d pairs, want %d", n, want)
-	}
-	if c.Len() != want {
-		t.Fatalf("cache holds %d pairs, want %d", c.Len(), want)
-	}
-	for _, a := range rows {
-		for _, b := range users {
-			if a == b {
-				continue
-			}
-			gotSim, gotOK := c.Similarity(a, b) // hits the cache
-			wantSim, wantOK := base.Similarity(a, b)
-			if gotSim != wantSim || gotOK != wantOK {
-				t.Fatalf("pair (%s,%s): cached (%v,%v), direct (%v,%v)", a, b, gotSim, gotOK, wantSim, wantOK)
-			}
-		}
-	}
-}
-
 func TestWarmAllSkipsExistingEntries(t *testing.T) {
 	st, users := warmStore(t, 12, 20)
 	c := NewCached(warmMeasure(st))

@@ -306,31 +306,24 @@ type BatchGroupResult struct {
 // ServeBatch answers many GroupQueries in one call — the
 // multi-caregiver serving path. Queries are independent: each entry
 // may use its own method, z, aggregation, or k, and fails or succeeds
-// on its own (one bad query does not poison the batch). The
-// similarity rows of every member in the batch are warmed by a
-// sharded worker pool first, then the queries fan out across at most
-// Config.Workers goroutines. When ctx is cancelled mid-batch,
-// in-flight queries stop at the next cancellation point, unstarted
-// entries get Err = ctx.Err(), and the context error is also
-// returned. Results are in request order; for entries as they
-// complete, use ServeStream.
+// on its own (one bad query does not poison the batch). The queries
+// fan out across at most Config.Workers goroutines; work they share
+// (a member's similarity row, a peer set) is deduplicated by the
+// cache layers as it is asked for, not warmed ahead. When ctx is
+// cancelled mid-batch, in-flight queries stop at the next
+// cancellation point, unstarted entries get Err = ctx.Err(), and the
+// context error is also returned. Results are in request order; for
+// entries as they complete, use ServeStream.
 func (s *System) ServeBatch(ctx context.Context, queries []GroupQuery) ([]BatchGroupResult, error) {
 	out := make([]BatchGroupResult, len(queries))
 	for k, q := range queries {
 		out[k].Index = k
 		out[k].Group = append([]string(nil), q.Members...)
 	}
-	emitted := 0
 	err := s.ServeStream(ctx, queries, func(e BatchGroupResult) error {
 		out[e.Index] = e
-		emitted++
 		return nil
 	})
-	if err != nil && emitted == 0 && len(queries) > 0 {
-		// The failure preceded any per-query work (e.g. the similarity
-		// build itself); there are no entries to report.
-		return nil, err
-	}
 	return out, err
 }
 
@@ -371,50 +364,6 @@ func (s *System) ServeStream(ctx context.Context, queries []GroupQuery, fn func(
 	}
 	entry := func(k int) BatchGroupResult {
 		return BatchGroupResult{Index: k, Group: append([]string(nil), queries[k].Members...)}
-	}
-
-	// Warm the similarity rows of the member union of the USER-CF
-	// queries against all raters (other scorers don't read the
-	// pairwise user-similarity memo, so their members need no rows —
-	// and a batch with no user-cf entry skips the similarity build
-	// entirely).
-	seen := make(map[model.UserID]struct{})
-	var rows []model.UserID
-	for _, q := range queries {
-		if q.Method == MethodMapReduce {
-			continue // the §IV pipeline scores over raw triples, not the memo
-		}
-		if q.Scorer != "" && q.Scorer != scoring.NameUserCF {
-			continue
-		}
-		if q.Scorer == "" && s.cfg.Scorer != scoring.NameUserCF {
-			continue
-		}
-		for _, u := range q.Members {
-			id := model.UserID(u)
-			if _, dup := seen[id]; dup || id == "" {
-				continue
-			}
-			seen[id] = struct{}{}
-			rows = append(rows, id)
-		}
-	}
-	if len(rows) > 0 {
-		sim, err := s.similarity()
-		if err != nil {
-			return err
-		}
-		if _, err := sim.WarmRows(ctx, rows, s.ratings.Users(), s.workers()); err != nil {
-			for k := range queries {
-				e := entry(k)
-				e.Err = err
-				emit(e)
-			}
-			if fnErr != nil {
-				return fnErr
-			}
-			return err
-		}
 	}
 
 	pool.Each(len(queries), s.workers(), func(k int) {

@@ -7,7 +7,7 @@
 #   BENCHTIME=1x scripts/bench.sh    # CI smoke: one iteration each
 #   BENCH=GroupBatch scripts/bench.sh  # filter by benchmark regex
 #
-# The perf trajectory lives in nine families included in every run:
+# The perf trajectory lives in ten families included in every run:
 # BenchmarkScopedInvalidation (warm scoped eviction vs cold full-flush
 # serving), BenchmarkRatingsWriteThroughput (sharded vs single-lock
 # store under concurrent writers), BenchmarkWarmCacheTTL (serving
@@ -28,7 +28,8 @@
 # against three loopback workers, warm and cold-after-write; its
 # members/rpc and rpcs/serve counters land in the snapshot as
 # members_per_rpc / rpcs_per_serve so the fan-out coalescing ratio is
-# part of the trajectory, not just latency).
+# part of the trajectory, not just latency), and BenchmarkGroupBatch
+# (16 group queries one by one vs through ServeBatch).
 #
 # The script exits non-zero — without writing the output file — when
 # the benchmark run itself fails or parses to zero results, so a broken

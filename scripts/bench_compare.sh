@@ -10,7 +10,7 @@
 # more than THRESHOLD_PCT (default 25). The allocation gate keeps the
 # flat-kernel work honest: an alloc-count regression reproduces
 # deterministically even when wall-clock noise would hide it. Only the
-# nine trajectory families are gated — the rest of the suite is
+# ten trajectory families are gated — the rest of the suite is
 # informational, and single-iteration CI noise on micro-benchmarks
 # would make a whole-suite gate flap:
 #
@@ -23,6 +23,7 @@
 #   BenchmarkPartitionedServe
 #   BenchmarkFlatKernels
 #   BenchmarkNetworkedServe
+#   BenchmarkGroupBatch
 #
 # Override the gated set with FAMILIES="PrefixA PrefixB". Benchmarks
 # present in only one file are reported but never fail the gate (new
@@ -37,7 +38,7 @@ fi
 base="$1"
 fresh="$2"
 threshold="${3:-25}"
-families="${FAMILIES:-BenchmarkScopedInvalidation BenchmarkRatingsWriteThroughput BenchmarkWarmCacheTTL BenchmarkScorerServe BenchmarkClustering BenchmarkCandidateIndex BenchmarkPartitionedServe BenchmarkFlatKernels BenchmarkNetworkedServe}"
+families="${FAMILIES:-BenchmarkScopedInvalidation BenchmarkRatingsWriteThroughput BenchmarkWarmCacheTTL BenchmarkScorerServe BenchmarkClustering BenchmarkCandidateIndex BenchmarkPartitionedServe BenchmarkFlatKernels BenchmarkNetworkedServe BenchmarkGroupBatch}"
 
 for f in "$base" "$fresh"; do
     if [ ! -r "$f" ]; then
