@@ -22,8 +22,9 @@
 //	BenchmarkPartitionedServe/*        group serving through the consistent-hash fan-out
 //	                                   coordinator at 1/2/4 partitions, warm and cold-after-write
 //	BenchmarkFlatKernels/*             flat scoring kernels vs the retained map-based references:
-//	                                   CSR merge-join Pearson, matrix build, cold user-cf
-//	                                   relevance, rank-order greedy, branch-and-bound brute force
+//	                                   CSR merge-join Pearson, matrix build, cold and warm
+//	                                   user-cf relevance, rank-order greedy, branch-and-bound
+//	                                   brute force
 //	                                   (gated on both ns/op and allocs/op)
 //
 // Run: go test -bench=. -benchmem
@@ -50,7 +51,6 @@ import (
 	"fairhealth/internal/clustering"
 	"fairhealth/internal/core"
 	"fairhealth/internal/dataset"
-	"fairhealth/internal/diversity"
 	"fairhealth/internal/eval"
 	"fairhealth/internal/httpapi"
 	"fairhealth/internal/model"
@@ -809,6 +809,7 @@ func BenchmarkEq1Relevance(b *testing.B) {
 		Delta: 0.55,
 	}
 	users := ds.Profiles.IDs()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rec.AllRelevances(users[i%len(users)]); err != nil {
@@ -1153,6 +1154,28 @@ func BenchmarkFlatKernels(b *testing.B) {
 	b.Run("usercf-cold/flat", coldServe(flat))
 	b.Run("usercf-cold/reference", coldServe(ref))
 
+	// Warm user-CF serve: every peer set is already cached, so each op is
+	// Eq. 1 alone — the catalogue-indexed accumulation over peer rows.
+	warm := &cf.Recommender{
+		Store: ds.Ratings,
+		Sim:   simfn.Normalized{S: flat},
+		Delta: 0.55,
+		Cache: cf.NewPeerCache(),
+	}
+	for _, u := range users {
+		if _, err := warm.AllRelevances(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("usercf-warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := warm.AllRelevances(users[i%len(users)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	// Algorithm 1: rank-order cursors vs the per-round rescan.
 	problem := eval.SyntheticProblem(1, 4, 30, 10)
 	b.Run("greedy/flat", func(b *testing.B) {
@@ -1188,28 +1211,6 @@ func BenchmarkFlatKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.BruteForceReference(bfProblem.Input, 8, 0); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkDiversity measures MMR re-ranking cost ([18]-style peer and
-// item diversification).
-func BenchmarkDiversity(b *testing.B) {
-	peers := make([]cf.Peer, 100)
-	for i := range peers {
-		peers[i] = cf.Peer{User: model.UserID(fmt.Sprintf("u%03d", i)), Sim: 1 - float64(i)/200}
-	}
-	pairSim := simfn.Func(func(a, bb model.UserID) (float64, bool) {
-		if a[1] == bb[1] { // same leading digit → redundant block
-			return 0.9, true
-		}
-		return 0.1, true
-	})
-	b.Run("peers-mmr-k10", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := diversity.Peers(peers, pairSim, 10, 0.6); len(got) != 10 {
-				b.Fatal("short selection")
 			}
 		}
 	})

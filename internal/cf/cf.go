@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"fairhealth/internal/cache"
@@ -445,19 +446,23 @@ func (r *Recommender) PeerSet(u model.UserID) (map[model.UserID]float64, error) 
 
 // Relevance predicts Eq. 1 for a single (user, item) pair. ok=false
 // means no peer has rated the item (the estimate is undefined); an
-// ErrAlreadyRated error means the user has an explicit rating.
+// ErrAlreadyRated error means the user has an explicit rating. Like
+// AllRelevances it reads one ratings snapshot, never the live store, so
+// the rated check and every peer's rating describe the same state.
 func (r *Recommender) Relevance(u model.UserID, i model.ItemID) (score float64, ok bool, err error) {
 	if err := r.check(); err != nil {
 		return 0, false, err
 	}
-	if r.Store.HasRated(u, i) {
+	sn := r.Store.Snapshot()
+	rowU, _ := sn.Row(u)
+	if _, rated := rowU.Rating(i); rated {
 		return 0, false, fmt.Errorf("%w: user %s item %s", ErrAlreadyRated, u, i)
 	}
 	peers, err := r.peers(u)
 	if err != nil {
 		return 0, false, err
 	}
-	return relevanceWithPeers(r.Store, peers, i)
+	return relevanceWithPeers(sn, peers, i)
 }
 
 // relevanceWithPeers evaluates Eq. 1 given a prebuilt peer list. Peers
@@ -465,10 +470,11 @@ func (r *Recommender) Relevance(u model.UserID, i model.ItemID) (score float64, 
 // point accumulation is reproducible across runs — a requirement for
 // the batch path, whose results must be bit-identical to single-shot
 // serving.
-func relevanceWithPeers(store *ratings.Store, peers []Peer, i model.ItemID) (float64, bool, error) {
+func relevanceWithPeers(sn *ratings.Snapshot, peers []Peer, i model.ItemID) (float64, bool, error) {
 	var num, den float64
 	for _, p := range peers {
-		if rating, ok := store.Rating(p.User, i); ok {
+		row, _ := sn.Row(p.User)
+		if rating, ok := row.Rating(i); ok {
 			num += p.Sim * float64(rating)
 			den += p.Sim
 		}
@@ -479,52 +485,66 @@ func relevanceWithPeers(store *ratings.Store, peers []Peer, i model.ItemID) (flo
 	return num / den, true, nil
 }
 
+// acc is one item's Eq. 1 numerator and denominator.
+type acc struct{ num, den float64 }
+
+// accPool recycles AllRelevances' per-catalogue accumulator arrays.
+var accPool = sync.Pool{New: func() any { return new([]acc) }}
+
 // AllRelevances predicts Eq. 1 for every item the user has NOT rated
 // and at least one peer has. The result maps item → score. Peers are
 // accumulated in their deterministic Peers order, so scores are
 // bit-reproducible across runs and serving paths.
 func (r *Recommender) AllRelevances(u model.UserID) (map[model.ItemID]float64, error) {
+	out, _, err := r.relevances(u)
+	return out, err
+}
+
+// relevances is AllRelevances plus the snapshot it read.
+func (r *Recommender) relevances(u model.UserID) (map[model.ItemID]float64, *ratings.Snapshot, error) {
 	if err := r.check(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	peers, err := r.peers(u)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Accumulate numerator/denominator per item over peers' ratings —
 	// O(Σ|I(peer)|) instead of O(|I|·|peers|) — reading each peer's CSR
-	// snapshot row. Per item the accumulation order is the peer order
-	// (the outer loop), exactly as before, so scores are bit-identical;
-	// value-typed accumulators avoid the per-item heap allocation of the
-	// old pointer map.
-	type acc struct{ num, den float64 }
+	// snapshot row into an array addressed by catalogue position. Per
+	// item the accumulation order is the peer order (the outer loop), so
+	// scores are bit-identical to a map keyed by item ID.
 	sn := r.Store.Snapshot()
-	accs := make(map[model.ItemID]acc)
+	cat := sn.Items()
+	buf := accPool.Get().(*[]acc)
+	defer accPool.Put(buf)
+	if cap(*buf) < len(cat) {
+		*buf = make([]acc, len(cat))
+	}
+	accs := (*buf)[:len(cat)]
+	clear(accs)
 	for _, p := range peers {
 		sim := p.Sim
-		row, ok := sn.Row(p.User)
-		if !ok {
-			continue
-		}
-		for j, i := range row.Items {
-			a := accs[i]
+		row, _ := sn.Row(p.User)
+		for j, k := range row.Idx {
+			a := &accs[k]
 			a.num += sim * float64(row.Ratings[j])
 			a.den += sim
-			accs[i] = a
 		}
 	}
+	// The user's own items are not predicted: den == 0 skips them along
+	// with items no peer rated and items whose similarities cancel.
 	rowU, _ := sn.Row(u)
-	out := make(map[model.ItemID]float64, len(accs))
-	for i, a := range accs {
-		if a.den == 0 {
-			continue
-		}
-		if _, rated := rowU.Rating(i); rated {
-			continue
-		}
-		out[i] = a.num / a.den
+	for _, k := range rowU.Idx {
+		accs[k] = acc{}
 	}
-	return out, nil
+	out := make(map[model.ItemID]float64, len(cat)-len(rowU.Idx))
+	for k, a := range accs {
+		if a.den != 0 {
+			out[cat[k]] = a.num / a.den
+		}
+	}
+	return out, sn, nil
 }
 
 // Recommend returns A_u: the top-k unrated items by predicted
@@ -545,11 +565,25 @@ func (r *Recommender) Coverage(u model.UserID) (float64, error) {
 	if err := r.check(); err != nil {
 		return 0, err
 	}
-	scores, err := r.AllRelevances(u)
+	scores, sn, err := r.relevances(u)
 	if err != nil {
 		return 0, err
 	}
-	unrated := r.Store.NumItems() - r.Store.NumRatedBy(u)
+	// The catalogue may list items nobody rates any more: count only the
+	// items some row still holds.
+	held := make([]bool, len(sn.Items()))
+	unrated := 0
+	for _, v := range sn.Users() {
+		row, _ := sn.Row(v)
+		for _, k := range row.Idx {
+			if !held[k] {
+				held[k] = true
+				unrated++
+			}
+		}
+	}
+	rowU, _ := sn.Row(u)
+	unrated -= rowU.Len()
 	if unrated <= 0 {
 		return 0, nil
 	}

@@ -3,6 +3,7 @@ package cf
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -192,7 +193,7 @@ func TestAllRelevancesMatchesPointwise(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("pointwise Relevance(%s): %v %v", item, err, ok)
 		}
-		if math.Abs(got-score) > 1e-12 {
+		if got != score {
 			t.Errorf("batch %v vs pointwise %v for %s", score, got, item)
 		}
 	}
@@ -208,7 +209,7 @@ func TestAllRelevancesMatchesPointwise(t *testing.T) {
 			continue
 		}
 		if got, ok, _ := r.Relevance("u0", item); ok {
-			if batch, present := all[item]; !present || math.Abs(batch-got) > 1e-12 {
+			if batch, present := all[item]; !present || batch != got {
 				t.Errorf("item %s missing from batch (pointwise %v)", item, got)
 			}
 		}
@@ -699,6 +700,229 @@ func TestPatchedPeersEqualFreshScan(t *testing.T) {
 					t.Fatalf("coverage: %d patched reads, %d inserted, %d dropped, %d users left, %d joined", patched, inserted, dropped, left, joined)
 				}
 			})
+		}
+	}
+}
+
+// allRelevancesReference is Eq. 1 accumulated into a map keyed by item
+// ID — the original AllRelevances, kept as the oracle the catalogue-
+// indexed accumulator must match bit for bit.
+func allRelevancesReference(r *Recommender, u model.UserID) (map[model.ItemID]float64, error) {
+	if err := r.check(); err != nil {
+		return nil, err
+	}
+	peers, err := r.peers(u)
+	if err != nil {
+		return nil, err
+	}
+	type acc struct{ num, den float64 }
+	sn := r.Store.Snapshot()
+	accs := make(map[model.ItemID]acc)
+	for _, p := range peers {
+		sim := p.Sim
+		row, ok := sn.Row(p.User)
+		if !ok {
+			continue
+		}
+		for j, i := range row.Items {
+			a := accs[i]
+			a.num += sim * float64(row.Ratings[j])
+			a.den += sim
+			accs[i] = a
+		}
+	}
+	rowU, _ := sn.Row(u)
+	out := make(map[model.ItemID]float64, len(accs))
+	for i, a := range accs {
+		if a.den == 0 {
+			continue
+		}
+		if _, rated := rowU.Rating(i); rated {
+			continue
+		}
+		out[i] = a.num / a.den
+	}
+	return out, nil
+}
+
+// sameBits reports whether two relevance maps hold the same items with
+// bit-identical scores.
+func sameBits(a, b map[model.ItemID]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y, ok := b[i]
+		if !ok || math.Float64bits(x) != math.Float64bits(y) {
+			return false
+		}
+	}
+	return true
+}
+
+// quantizedSim is a symmetric similarity over a handful of values of
+// both signs, zero included, so that with Delta ≤ 0 and
+// RequirePositive off some items' Eq. 1 denominators are exactly zero
+// (zero-similarity raters) or cancel (±s raters).
+func quantizedSim() simfn.UserSimilarity {
+	levels := []float64{-0.5, -0.25, 0, 0.25, 0.5}
+	return simfn.Func(func(a, b model.UserID) (float64, bool) {
+		if b < a {
+			a, b = b, a
+		}
+		h := fnv.New32a()
+		h.Write([]byte(string(a) + "|" + string(b)))
+		return levels[h.Sum32()%uint32(len(levels))], true
+	})
+}
+
+// TestAllRelevancesMatchesReference pins the catalogue-indexed Eq. 1
+// accumulator to the map-based reference bit for bit over random
+// add/change/remove sequences — new items (catalogue rebuilds), items
+// losing their last rater, users joining and leaving — with and without
+// a peer cache, for Pearson peers and for signed similarities whose
+// denominators vanish.
+func TestAllRelevancesMatchesReference(t *testing.T) {
+	cases := []struct {
+		name            string
+		sim             func(*ratings.Store) simfn.UserSimilarity
+		delta           float64
+		requirePositive bool
+	}{
+		{"pearson", func(st *ratings.Store) simfn.UserSimilarity {
+			return simfn.Normalized{S: simfn.Pearson{Store: st, MinOverlap: 2}}
+		}, 0.5, true},
+		{"signed", func(*ratings.Store) simfn.UserSimilarity { return quantizedSim() }, -1, false},
+	}
+	for _, tc := range cases {
+		for _, cached := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cache=%v", tc.name, cached), func(t *testing.T) {
+				ds, err := dataset.Generate(dataset.Config{Seed: 17, Users: 30, Items: 20, RatingsPerUser: 6})
+				if err != nil {
+					t.Fatal(err)
+				}
+				store := ds.Ratings
+				users := store.Users()
+				items := store.Items()
+				sim := tc.sim(store)
+				var cache *PeerCache
+				if cached {
+					cache = NewPeerCache()
+				}
+				rng := rand.New(rand.NewSource(3))
+				var cancelled int
+				for step := 0; step < 250; step++ {
+					u := users[rng.Intn(len(users))]
+					switch op := rng.Intn(10); {
+					case op == 0: // a new item
+						items = append(items, model.ItemID(fmt.Sprintf("new%03d", step)))
+						_ = store.Add(u, items[len(items)-1], model.Rating(1+rng.Intn(5)))
+					case op == 1: // u's last rating goes
+						for _, i := range store.ItemsRatedBy(u) {
+							_ = store.Remove(u, i)
+						}
+					case op < 4:
+						_ = store.Remove(u, items[rng.Intn(len(items))])
+					default: // add, change, or u's first rating
+						_ = store.Add(u, items[rng.Intn(len(items))], model.Rating(1+rng.Intn(5)))
+					}
+					if cache != nil {
+						cache.EvictUsers([]model.UserID{u})
+					}
+					for reads := 0; reads < 3; reads++ {
+						v := users[rng.Intn(len(users))]
+						r := &Recommender{Store: store, Sim: sim, Delta: tc.delta, RequirePositive: tc.requirePositive, Cache: cache}
+						if cache != nil {
+							r.CacheGen, r.CacheSeq = cache.Fence()
+						}
+						got, err := r.AllRelevances(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := allRelevancesReference(r, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameBits(got, want) {
+							t.Fatalf("step %d user %s:\n got  %v\n want %v", step, v, got, want)
+						}
+						if tc.requirePositive {
+							continue
+						}
+						peers, _ := r.Peers(v)
+						for _, i := range store.Items() {
+							if _, ok := want[i]; !ok && !store.HasRated(v, i) {
+								for _, p := range peers {
+									if store.HasRated(p.User, i) {
+										cancelled++ // some peer rated it, yet den == 0
+										break
+									}
+								}
+							}
+						}
+					}
+				}
+				if !tc.requirePositive && cancelled == 0 {
+					t.Fatal("no read hit a zero or cancelling denominator")
+				}
+			})
+		}
+	}
+}
+
+// TestAllRelevancesConcurrentNewItems runs AllRelevances and Relevance
+// while writers keep adding items the catalogue has never seen (under
+// -race in CI): every answer must come from one coherent snapshot, so
+// no index may fall outside the catalogue and, with positive weights,
+// every score is a weighted mean inside the rating range.
+func TestAllRelevancesConcurrentNewItems(t *testing.T) {
+	ds, err := dataset.Generate(dataset.Config{Seed: 29, Users: 40, Items: 20, RatingsPerUser: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := ds.Ratings
+	users := store.Users()
+	sim := simfn.Normalized{S: simfn.Pearson{Store: store, MinOverlap: 2}}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < 400; n++ {
+				u := users[rng.Intn(len(users))]
+				i := model.ItemID(fmt.Sprintf("w%d-%d", seed, n))
+				_ = store.Add(u, i, model.Rating(1+rng.Intn(5)))
+				if rng.Intn(2) == 0 {
+					_ = store.Remove(u, i)
+				}
+			}
+		}(int64(w))
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	writing := func() bool {
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
+	}
+	r := &Recommender{Store: store, Sim: sim, Delta: 0.5, RequirePositive: true}
+	for k := 0; k < 300 || writing(); k++ {
+		u := users[k%len(users)]
+		all, err := r.AllRelevances(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, score := range all {
+			if score < 1-1e-9 || score > 5+1e-9 {
+				t.Fatalf("AllRelevances(%s)[%s] = %v outside [1,5]", u, i, score)
+			}
+			if got, ok, err := r.Relevance(u, i); err == nil && ok && (got < 1-1e-9 || got > 5+1e-9) {
+				t.Fatalf("Relevance(%s, %s) = %v outside [1,5]", u, i, got)
+			}
 		}
 	}
 }

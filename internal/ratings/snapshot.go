@@ -12,6 +12,10 @@ import (
 type Row struct {
 	Items   []model.ItemID
 	Ratings []model.Rating
+	// Idx holds each item's position in the owning snapshot's Items()
+	// catalogue, parallel to Items: Items()[Idx[j]] == Items[j]. The
+	// catalogue is sorted, so Idx is ascending too.
+	Idx []uint32
 	// Mean is μ_u summed in ascending item order — bit-identical to
 	// Store.MeanRating for the same vector.
 	Mean float64
@@ -74,11 +78,17 @@ func (r Row) OverlapAtLeast(other Row, min int) bool {
 // mask): one map per store shard. That makes an incremental patch
 // cheap — only the shards containing written users are recopied, the
 // rest are shared by reference with the previous snapshot.
+//
+// The item catalogue gives every item a dense position for array
+// addressing (Row.Idx). A patched snapshot keeps its predecessor's
+// catalogue unless a written row names an item missing from it, so the
+// catalogue may still list items nobody rates any more.
 type Snapshot struct {
 	version uint64
 	mask    uint32
 	shards  []map[model.UserID]Row
 	users   []model.UserID // ascending; shared, read-only
+	items   []model.ItemID // ascending catalogue; shared, read-only
 }
 
 // Version is the store write-version the snapshot was requested at.
@@ -90,6 +100,11 @@ func (sn *Snapshot) NumUsers() int { return len(sn.users) }
 // Users returns all user IDs ascending. The slice is shared — callers
 // must not modify it.
 func (sn *Snapshot) Users() []model.UserID { return sn.users }
+
+// Items returns the item catalogue ascending: a superset of the items
+// rated in this snapshot, addressed by Row.Idx. The slice is shared —
+// callers must not modify it.
+func (sn *Snapshot) Items() []model.ItemID { return sn.items }
 
 // Row returns u's rating vector; ok is false when u has no ratings.
 func (sn *Snapshot) Row(u model.UserID) (Row, bool) {
@@ -191,21 +206,66 @@ func (s *Store) buildRow(u model.UserID) (Row, bool) {
 	return rowFromMap(ui), true
 }
 
+// indexRow maps sorted items to their catalogue positions by walking
+// both ascending lists; ok is false when an item is missing from cat.
+func indexRow(cat, items []model.ItemID) (idx []uint32, ok bool) {
+	idx = make([]uint32, len(items))
+	k := 0
+	for j, i := range items {
+		k += sort.Search(len(cat)-k, func(n int) bool { return cat[k+n] >= i })
+		if k == len(cat) || cat[k] != i {
+			return nil, false
+		}
+		idx[j] = uint32(k)
+	}
+	return idx, true
+}
+
+// reindex rebuilds the catalogue from the rows and re-indexes every row
+// into fresh shard maps (the old maps may be shared with a published
+// snapshot, whose rows are immutable).
+func (sn *Snapshot) reindex() {
+	seen := make(map[model.ItemID]struct{})
+	for _, m := range sn.shards {
+		for _, r := range m {
+			for _, i := range r.Items {
+				seen[i] = struct{}{}
+			}
+		}
+	}
+	sn.items = make([]model.ItemID, 0, len(seen))
+	for i := range seen {
+		sn.items = append(sn.items, i)
+	}
+	sort.Slice(sn.items, func(a, b int) bool { return sn.items[a] < sn.items[b] })
+	for k, m := range sn.shards {
+		fresh := make(map[model.UserID]Row, len(m))
+		for u, r := range m {
+			r.Idx, _ = indexRow(sn.items, r.Items)
+			fresh[u] = r
+		}
+		sn.shards[k] = fresh
+	}
+}
+
 // patchSnapshot builds the next snapshot from the previous one: shard
 // maps without dirty users are shared by reference, the (few) shards
 // holding dirty users are recopied, and only the dirty rows themselves
-// are re-read from the store. The user list is shared too unless a
-// dirty user appeared or vanished.
+// are re-read from the store and indexed into the previous catalogue.
+// The user list is shared too unless a dirty user appeared or vanished;
+// the catalogue is rebuilt (and every row re-indexed) only when a dirty
+// row names an item the previous catalogue lacks.
 func (s *Store) patchSnapshot(prev *Snapshot, dirty []model.UserID, version uint64) *Snapshot {
 	sn := &Snapshot{
 		version: version,
 		mask:    prev.mask,
 		shards:  make([]map[model.UserID]Row, len(prev.shards)),
 		users:   prev.users,
+		items:   prev.items,
 	}
 	copy(sn.shards, prev.shards)
 	copied := make([]bool, len(sn.shards))
-	usersChanged := false
+	usersChanged, newItem := false, false
 	for _, u := range dirty {
 		k := fnv32a(string(u)) & sn.mask
 		if !copied[k] {
@@ -222,6 +282,10 @@ func (s *Store) patchSnapshot(prev *Snapshot, dirty []model.UserID, version uint
 		case ok:
 			if !had {
 				usersChanged = true
+			}
+			var indexed bool
+			if row.Idx, indexed = indexRow(sn.items, row.Items); !indexed {
+				newItem = true
 			}
 			sn.shards[k][u] = row
 		case had:
@@ -243,11 +307,15 @@ func (s *Store) patchSnapshot(prev *Snapshot, dirty []model.UserID, version uint
 		sort.Slice(users, func(a, b int) bool { return users[a] < users[b] })
 		sn.users = users
 	}
+	if newItem {
+		sn.reindex()
+	}
 	return sn
 }
 
-// buildSnapshot copies every shard's rows into flat form — the cold
-// path, used once per store (later builds patch; see Snapshot).
+// buildSnapshot copies every shard's rows into flat form and indexes
+// them into a fresh catalogue — the cold path, used once per store
+// (later builds patch; see Snapshot).
 func (s *Store) buildSnapshot(version uint64) *Snapshot {
 	sn := &Snapshot{
 		version: version,
@@ -269,5 +337,6 @@ func (s *Store) buildSnapshot(version uint64) *Snapshot {
 		sn.shards[k] = m
 	}
 	sort.Slice(sn.users, func(a, b int) bool { return sn.users[a] < sn.users[b] })
+	sn.reindex()
 	return sn
 }

@@ -3,6 +3,7 @@ package ratings
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -218,10 +219,11 @@ func TestSnapshotIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestSnapshotNoTornViews hammers the store with writes while readers
-// take snapshots, asserting every observed row is internally
-// consistent: parallel slices, ascending items, and a mean that equals
-// the ascending-order sum of exactly the observed ratings.
+// TestSnapshotNoTornViews hammers the store with writes — some of them
+// introducing new items — while readers take snapshots, asserting every
+// observed row is internally consistent: parallel slices, ascending
+// items, a mean that equals the ascending-order sum of exactly the
+// observed ratings, and indices that address the snapshot's catalogue.
 func TestSnapshotNoTornViews(t *testing.T) {
 	s := New()
 	const n = 50
@@ -246,6 +248,9 @@ func TestSnapshotNoTornViews(t *testing.T) {
 				}
 				uid := model.UserID(fmt.Sprintf("u%02d", rng.Intn(n)))
 				iid := model.ItemID(fmt.Sprintf("i%d", rng.Intn(20)))
+				if rng.Intn(8) == 0 { // a brand-new item: the catalogue is rebuilt
+					iid = model.ItemID(fmt.Sprintf("n%d-%d", seed, rng.Int()))
+				}
 				if rng.Intn(4) == 0 {
 					_ = s.Remove(uid, iid)
 				} else {
@@ -275,7 +280,104 @@ func TestSnapshotNoTornViews(t *testing.T) {
 				t.Fatalf("row %s mean %v does not match its own ratings (%v)", u, row.Mean, mean)
 			}
 		}
+		checkCatalogue(t, sn)
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// checkCatalogue asserts the catalogue invariants of one snapshot: the
+// catalogue is strictly ascending and every row's Idx addresses its own
+// items in it.
+func checkCatalogue(t *testing.T, sn *Snapshot) {
+	t.Helper()
+	cat := sn.Items()
+	for k := 1; k < len(cat); k++ {
+		if cat[k-1] >= cat[k] {
+			t.Fatalf("catalogue not strictly ascending at %d: %s, %s", k, cat[k-1], cat[k])
+		}
+	}
+	for _, u := range sn.Users() {
+		row, _ := sn.Row(u)
+		if len(row.Idx) != len(row.Items) {
+			t.Fatalf("row %s: %d indices for %d items", u, len(row.Idx), len(row.Items))
+		}
+		for j, k := range row.Idx {
+			if int(k) >= len(cat) || cat[k] != row.Items[j] {
+				t.Fatalf("row %s: Idx[%d] = %d does not address %s", u, j, k, row.Items[j])
+			}
+		}
+	}
+}
+
+// TestSnapshotCatalogueProperty drives random add/change/remove
+// sequences — an item's first-ever rating (a catalogue rebuild), an
+// item's last rating going, a user's first and last rating — and pins
+// every snapshot's catalogue invariants and its rows against a fresh
+// full build.
+func TestSnapshotCatalogueProperty(t *testing.T) {
+	s := randomStore(t, 7, 20, 15, 6)
+	rng := rand.New(rand.NewSource(31))
+	nextItem := 15
+	var rebuilds, itemGone, userJoined, userLeft int
+	for step := 0; step < 400; step++ {
+		prevCat := s.Snapshot().Items()
+		uid := model.UserID(fmt.Sprintf("u%03d", rng.Intn(24))) // incl. new users
+		before := s.NumRatedBy(uid)
+		switch op := rng.Intn(10); {
+		case op == 0: // a brand-new item
+			iid := model.ItemID(fmt.Sprintf("i%03d", nextItem))
+			nextItem++
+			if err := s.Add(uid, iid, 3); err != nil {
+				t.Fatal(err)
+			}
+		case op == 1: // every rating of one item goes
+			iid := model.ItemID(fmt.Sprintf("i%03d", rng.Intn(nextItem)))
+			for _, v := range s.UsersWhoRated(iid) {
+				_ = s.Remove(v, iid)
+				_ = s.Snapshot()
+			}
+			if len(s.UsersWhoRated(iid)) == 0 {
+				itemGone++
+			}
+		case op == 2: // the user's last rating goes
+			for _, i := range s.ItemsRatedBy(uid) {
+				_ = s.Remove(uid, i)
+			}
+		case op < 5:
+			_ = s.Remove(uid, model.ItemID(fmt.Sprintf("i%03d", rng.Intn(nextItem))))
+		default: // add or change
+			iid := model.ItemID(fmt.Sprintf("i%03d", rng.Intn(nextItem)))
+			if err := s.Add(uid, iid, model.Rating(1+4*rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch after := s.NumRatedBy(uid); {
+		case before == 0 && after > 0:
+			userJoined++
+		case before > 0 && after == 0:
+			userLeft++
+		}
+		sn := s.Snapshot()
+		checkCatalogue(t, sn)
+		if len(sn.Items()) != len(prevCat) || (len(prevCat) > 0 && &sn.Items()[0] != &prevCat[0]) {
+			rebuilds++
+		}
+		full := s.buildSnapshot(sn.Version())
+		checkCatalogue(t, full)
+		if len(sn.Users()) != len(full.Users()) {
+			t.Fatalf("step %d: %d users, full build has %d", step, len(sn.Users()), len(full.Users()))
+		}
+		for k, u := range full.Users() {
+			got, _ := sn.Row(u)
+			want, _ := full.Row(u)
+			if sn.Users()[k] != u || !reflect.DeepEqual(got.Items, want.Items) ||
+				!reflect.DeepEqual(got.Ratings, want.Ratings) || got.Mean != want.Mean {
+				t.Fatalf("step %d: row %s differs from a full build", step, u)
+			}
+		}
+	}
+	if rebuilds == 0 || itemGone == 0 || userJoined == 0 || userLeft == 0 {
+		t.Fatalf("coverage: %d rebuilds, %d items gone, %d users joined, %d left", rebuilds, itemGone, userJoined, userLeft)
+	}
 }

@@ -22,9 +22,10 @@
 # fan-out coordinator at 1/2/4 partitions, warm and cold-after-write),
 # BenchmarkFlatKernels (the CSR/merge-join scoring kernels vs the
 # retained map-based references: single-pair Pearson, full matrix
-# build, cold user-cf serve, greedy, and branch-and-bound brute force —
-# tracked on ns/op AND allocs/op), and BenchmarkNetworkedServe (group
-# serving through the networked coordinator over the binary transport
+# build, cold and warm user-cf serve, greedy, and branch-and-bound
+# brute force — tracked on ns/op AND allocs/op), and
+# BenchmarkNetworkedServe (group serving through the networked
+# coordinator over the binary transport
 # against three loopback workers, warm and cold-after-write; its
 # members/rpc and rpcs/serve counters land in the snapshot as
 # members_per_rpc / rpcs_per_serve so the fan-out coalescing ratio is
