@@ -206,11 +206,13 @@ func BenchmarkFig1EndToEnd(b *testing.B) {
 	srv := httptest.NewServer(httpapi.New(sys, log.New(io.Discard, "", 0)))
 	defer srv.Close()
 	grp := ds.SampleGroup(1, 3, 0)
-	url := fmt.Sprintf("%s/api/group-recommendations?users=%s,%s,%s&z=6", srv.URL, grp[0], grp[1], grp[2])
+	query, _ := json.Marshal(httpapi.GroupQueryBody{
+		Members: []string{string(grp[0]), string(grp[1]), string(grp[2])}, Z: 6, Explain: true,
+	})
 
 	b.Run("group-recommendation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			resp, err := http.Get(url)
+			resp, err := http.Post(srv.URL+"/v1/groups/recommend", "application/json", bytes.NewReader(query))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -229,7 +231,7 @@ func BenchmarkFig1EndToEnd(b *testing.B) {
 			payload, _ := json.Marshal(httpapi.RatingBody{
 				User: "benchuser", Item: fmt.Sprintf("doc%04d", i%120), Value: float64(1 + i%5),
 			})
-			resp, err := http.Post(srv.URL+"/api/ratings", "application/json", bytes.NewReader(payload))
+			resp, err := http.Post(srv.URL+"/v1/ratings", "application/json", bytes.NewReader(payload))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -239,15 +241,15 @@ func BenchmarkFig1EndToEnd(b *testing.B) {
 	// The NDJSON streaming batch path — each entry renders through the
 	// pooled encoder (internal/httpapi/ndjson.go).
 	b.Run("batch-stream", func(b *testing.B) {
-		groups := make([][]string, 0, 3)
+		var batch httpapi.BatchGroupsBody
 		for _, g := range []model.Group{grp, ds.SampleGroup(2, 3, 0), ds.SampleGroup(3, 2, 0)} {
 			members := make([]string, len(g))
 			for j, u := range g {
 				members[j] = string(u)
 			}
-			groups = append(groups, members)
+			batch.Queries = append(batch.Queries, httpapi.GroupQueryBody{Members: members, Z: 6})
 		}
-		payload, _ := json.Marshal(httpapi.BatchGroupsBody{Groups: groups, Z: 6})
+		payload, _ := json.Marshal(batch)
 		for i := 0; i < b.N; i++ {
 			resp, err := http.Post(srv.URL+"/v1/groups/recommend:batch?stream=true", "application/json", bytes.NewReader(payload))
 			if err != nil {
@@ -303,7 +305,7 @@ func BenchmarkFig2Pipeline(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.GroupRecommend(users, 6); err != nil {
+			if _, err := sys.Serve(context.Background(), greedyQuery(users, 6)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -312,7 +314,24 @@ func BenchmarkFig2Pipeline(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Batch group serving — sequential single-shot loop vs the bounded
-// worker-pool fan-out of GroupRecommendBatch over the same groups.
+// worker-pool fan-out of ServeBatch over the same groups.
+
+// greedyQuery is the explained Algorithm 1 request the serving
+// benchmarks issue for one group.
+func greedyQuery(members []string, z int) fairhealth.GroupQuery {
+	return fairhealth.GroupQuery{Members: members, Z: z, Method: fairhealth.MethodGreedy, Explain: true}
+}
+
+// greedyQueries is greedyQuery for every group. The batch benchmarks
+// build it inside the timed loop, so their allocs/op stay comparable
+// with the committed baseline.
+func greedyQueries(groups [][]string, z int) []fairhealth.GroupQuery {
+	queries := make([]fairhealth.GroupQuery, len(groups))
+	for k, g := range groups {
+		queries[k] = greedyQuery(g, z)
+	}
+	return queries
+}
 
 func BenchmarkGroupBatch(b *testing.B) {
 	sys, err := fairhealth.New(fairhealth.Config{Delta: 0.55, MinOverlap: 4, K: 8})
@@ -341,7 +360,7 @@ func BenchmarkGroupBatch(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, g := range groups {
-				if _, err := sys.GroupRecommend(g, 6); err != nil {
+				if _, err := sys.Serve(context.Background(), greedyQuery(g, 6)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -349,7 +368,7 @@ func BenchmarkGroupBatch(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("batch/workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+			res, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,7 +470,7 @@ func BenchmarkScopedInvalidation(b *testing.B) {
 			if cold {
 				sys.InvalidateCaches()
 			}
-			res, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+			res, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -502,14 +521,14 @@ func BenchmarkWarmCacheTTL(b *testing.B) {
 			groups[g] = []string{users[3*g], users[3*g+1], users[3*g+2]}
 		}
 		// Populate the peer cache too, so the warm arms start warm.
-		if _, err := sys.GroupRecommendBatch(context.Background(), groups, 6); err != nil {
+		if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 			b.Fatal(err)
 		}
 		return sys, groups
 	}
 	serve := func(b *testing.B, sys *fairhealth.System, groups [][]string) {
 		for i := 0; i < b.N; i++ {
-			res, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+			res, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 			if err != nil {
 				b.Fatal(err)
 			}

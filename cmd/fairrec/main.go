@@ -224,7 +224,7 @@ func cmdGroup(args []string) error {
 	k := fs.Int("k", 10, "per-member personal list size (fairness)")
 	delta := fs.Float64("delta", 0.5, "peer threshold δ")
 	aggr := fs.String("aggr", "avg", "aggregation: avg (majority) or min (veto)")
-	method := fs.String("method", "greedy", "greedy | brute | mapreduce | topz")
+	method := fs.String("method", "greedy", "greedy | brute | topz (for the §IV MapReduce pipeline run 'fairrec mr')")
 	scorer := fs.String("scorer", "", "relevance scorer: user-cf (default) | item-cf | profile")
 	m := fs.Int("m", 20, "candidate pool for brute force")
 	if err := fs.Parse(args); err != nil {
@@ -271,11 +271,8 @@ func cmdGroup(args []string) error {
 		return err
 	}
 	label := "Algorithm 1 (greedy)"
-	switch fairhealth.Method(*method) {
-	case fairhealth.MethodBrute:
+	if fairhealth.Method(*method) == fairhealth.MethodBrute {
 		label = fmt.Sprintf("brute force (%d combinations)", res.Combinations)
-	case fairhealth.MethodMapReduce:
-		label = "MapReduce pipeline + Algorithm 1"
 	}
 	printGroupResult(res, label)
 	return nil
@@ -291,7 +288,7 @@ func cmdBatch(args []string) error {
 	k := fs.Int("k", 10, "per-member personal list size (fairness)")
 	delta := fs.Float64("delta", 0.5, "peer threshold δ")
 	aggr := fs.String("aggr", "avg", "aggregation: avg (majority) or min (veto)")
-	method := fs.String("method", "greedy", "solver for every group: greedy | brute | mapreduce")
+	method := fs.String("method", "greedy", "solver for every group: greedy | brute (for the §IV MapReduce pipeline run 'fairrec mr')")
 	scorer := fs.String("scorer", "", "relevance scorer for every group: user-cf (default) | item-cf | profile")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	stream := fs.Bool("stream", false, "print each group as it completes (completion order) instead of buffering the batch")
@@ -409,9 +406,20 @@ func cmdMR(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Members are trimmed and deduplicated like a served GroupQuery's,
+	// and every one must have rated something: the pipeline would
+	// otherwise drop an unknown member without a word.
 	var g model.Group
 	for _, u := range strings.Split(*users, ",") {
-		g = append(g, model.UserID(u))
+		if u = strings.TrimSpace(u); u != "" {
+			g = append(g, model.UserID(u))
+		}
+	}
+	g = g.Dedup()
+	for _, u := range g {
+		if store.NumRatedBy(u) == 0 {
+			return fmt.Errorf("%w: %s has no rating in %s", fairhealth.ErrUnknownPatient, u, *ratingsPath)
+		}
 	}
 	out, err := mrpipeline.Run(context.Background(), store.Triples(), mrpipeline.Config{
 		Group: g, Delta: *delta, MinOverlap: 2, K: *k, Z: *z,

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fairhealth"
 )
 
 // genTestData runs cmdGen into a temp dir and returns the ratings and
@@ -60,8 +63,11 @@ func TestCmdGroupMethods(t *testing.T) {
 			t.Errorf("cmdGroup %s: %v", method, err)
 		}
 	}
-	if err := cmdGroup([]string{"-ratings", ratingsPath, "-users", users, "-method", "psychic"}); err == nil {
-		t.Error("unknown method accepted")
+	// mapreduce is not a serving method: the §IV pipeline is `fairrec mr`.
+	for _, method := range []string{"psychic", "mapreduce"} {
+		if err := cmdGroup([]string{"-ratings", ratingsPath, "-users", users, "-method", method}); !errors.Is(err, fairhealth.ErrBadQuery) {
+			t.Errorf("-method %s: err = %v, want ErrBadQuery", method, err)
+		}
 	}
 	if err := cmdGroup([]string{"-ratings", ratingsPath}); err == nil {
 		t.Error("missing -users accepted")
@@ -89,6 +95,15 @@ func TestCmdMR(t *testing.T) {
 	}
 	if err := cmdMR([]string{"-ratings", ratingsPath}); err == nil {
 		t.Error("missing -users accepted")
+	}
+	// Members are trimmed and deduplicated, as a served GroupQuery's are.
+	if err := cmdMR([]string{"-ratings", ratingsPath, "-users", "patient0000, patient0000,patient0001 ,", "-z", "4"}); err != nil {
+		t.Errorf("cmdMR with a repeated member: %v", err)
+	}
+	// A member with no rating in the CSV is refused by name, not dropped.
+	err := cmdMR([]string{"-ratings", ratingsPath, "-users", "patient0000,ghost", "-z", "4"})
+	if !errors.Is(err, fairhealth.ErrUnknownPatient) || !strings.Contains(err.Error(), "ghost") {
+		t.Errorf("cmdMR with an unknown member: err = %v, want ErrUnknownPatient naming ghost", err)
 	}
 }
 

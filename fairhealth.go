@@ -30,13 +30,10 @@
 //	})
 //	fmt.Println(res.Items, res.Fairness)
 //
-// The query object carries every knob — solver method (greedy, brute,
-// mapreduce), relevance scorer, brute-force bounds, per-query
-// aggregation semantics and fairness K, and an explain flag for the
-// per-member evidence. The historical entry points (GroupRecommend,
-// GroupRecommendBruteForce, GroupRecommendMapReduce,
-// GroupRecommendBatch, GroupRecommendStream) remain as thin wrappers
-// that build a GroupQuery and delegate.
+// The query object carries every knob — solver method (greedy or
+// brute), relevance scorer, brute-force bounds, per-query aggregation
+// semantics and fairness K, and an explain flag for the per-member
+// evidence. ServeBatch and ServeStream answer many queries at once.
 //
 // The fairness machinery is scorer-agnostic: the per-member candidate
 // scores it selects over come from a pluggable relevance backend
@@ -183,8 +180,7 @@ type Config struct {
 	HybridWeights HybridWeights
 	// Aggregation selects the Def. 2 semantics: "avg" (majority,
 	// default), "min" (veto), or the extensions "max", "median" and
-	// "consensus" (Amer-Yahia et al. [1], relevance + agreement). The
-	// MapReduce path supports only the paper's "avg" and "min".
+	// "consensus" (Amer-Yahia et al. [1], relevance + agreement).
 	Aggregation string
 	// Scorer selects the default relevance backend for queries that
 	// leave GroupQuery.Scorer empty: "user-cf" (the paper's §III.A
@@ -192,11 +188,11 @@ type Config struct {
 	// internal/itemcf), "profile" (peers by profile-cosine), or any
 	// in-tree scorer registered with internal/scoring (the registry is
 	// an internal extension point — registration happens inside this
-	// module). The mapreduce method serves only user-cf.
+	// module).
 	Scorer string
 	// Workers bounds the worker pools of the parallel similarity
 	// precompute (PrecomputeSimilarity) and the batch group API
-	// (GroupRecommendBatch). 0 means runtime.GOMAXPROCS at call time.
+	// (ServeBatch). 0 means runtime.GOMAXPROCS at call time.
 	Workers int
 	// CacheTTL bounds how long memoized similarity rows and peer sets
 	// stay live across requests: entries older than the TTL answer as

@@ -39,7 +39,7 @@ func batchSystem(t *testing.T, workers int) (*System, [][]string) {
 
 func TestGroupRecommendBatchMatchesSingle(t *testing.T) {
 	sys, groups := batchSystem(t, 4)
-	batch, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+	batch, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestGroupRecommendBatchMatchesSingle(t *testing.T) {
 		if !reflect.DeepEqual(entry.Group, groups[k]) {
 			t.Errorf("group %d: echoed members %v, want %v", k, entry.Group, groups[k])
 		}
-		single, err := sys.GroupRecommend(groups[k], 6)
+		single, err := sys.Serve(context.Background(), greedyQuery(groups[k], 6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestGroupRecommendBatchMatchesSingle(t *testing.T) {
 func TestGroupRecommendBatchPartialFailure(t *testing.T) {
 	sys, groups := batchSystem(t, 2)
 	mixed := [][]string{groups[0], {}, groups[1]}
-	batch, err := sys.GroupRecommendBatch(context.Background(), mixed, 6)
+	batch, err := sys.ServeBatch(context.Background(), greedyQueries(mixed, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestGroupRecommendBatchCancelledUpfront(t *testing.T) {
 	sys, groups := batchSystem(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	batch, err := sys.GroupRecommendBatch(ctx, groups, 6)
+	batch, err := sys.ServeBatch(ctx, greedyQueries(groups, 6))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -116,7 +116,7 @@ func TestGroupRecommendBatchMidCancellation(t *testing.T) {
 		defer close(done)
 		cancel() // races the fan-out deliberately; -race checks the interleaving
 	}()
-	batch, err := sys.GroupRecommendBatch(ctx, groups, 6)
+	batch, err := sys.ServeBatch(ctx, greedyQueries(groups, 6))
 	<-done
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want nil or context.Canceled", err)
@@ -156,7 +156,7 @@ func TestGroupRecommendBatchConcurrentWrites(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 5; round++ {
-		batch, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+		batch, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestPrecomputeSimilarityWarmsAllPairs(t *testing.T) {
 
 func TestGroupRecommendBatchEmpty(t *testing.T) {
 	sys, _ := batchSystem(t, 1)
-	batch, err := sys.GroupRecommendBatch(context.Background(), nil, 6)
+	batch, err := sys.ServeBatch(context.Background(), greedyQueries(nil, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestCacheTTLExpiryEquivalence(t *testing.T) {
 	if _, err := sys.PrecomputeSimilarity(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	first, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+	first, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCacheTTLExpiryEquivalence(t *testing.T) {
 
 	time.Sleep(2 * ttl) // everything warm is now past its lease
 
-	second, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+	second, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCacheTTLExpiryEquivalence(t *testing.T) {
 func TestCacheMaxEntriesBound(t *testing.T) {
 	const maxEntries = 64
 	sys, groups := cacheSystem(t, 0, maxEntries)
-	if _, err := sys.GroupRecommendBatch(context.Background(), groups, 6); err != nil {
+	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.CacheStats()
@@ -133,7 +133,7 @@ func TestUserDeletionEvictsCaches(t *testing.T) {
 	if _, err := sys.PrecomputeSimilarity(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.GroupRecommendBatch(context.Background(), groups, 6); err != nil {
+	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 		t.Fatal(err)
 	}
 	victim := groups[0][0]
@@ -197,7 +197,7 @@ func TestConcurrentServeWritesWithTTLExpiry(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 4; round++ {
-		batch, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+		batch, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestAdaptiveTTLEquivalence(t *testing.T) {
 	groups = groups[:3]
 	var results [][]BatchGroupResult
 	for round := 0; round < 4; round++ {
-		batch, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+		batch, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestAdaptiveTTLEquivalence(t *testing.T) {
 	// carry the adapted lease, not reset to Config.CacheTTL.
 	adapted := sys.CacheStats().Similarity.TTLSeconds
 	sys.InvalidateCaches()
-	if _, err := sys.GroupRecommendBatch(context.Background(), groups, 6); err != nil {
+	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.CacheStats().Similarity.TTLSeconds; got != adapted {
@@ -351,7 +351,7 @@ func TestCacheMaxCostBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sys.GroupRecommendBatch(context.Background(), groups, 6); err != nil {
+	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.CacheStats()

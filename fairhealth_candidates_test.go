@@ -78,10 +78,7 @@ func TestCandidateIndexExactBitIdentical(t *testing.T) {
 	sysOn, _ := candidateSystem(t, onCfg)
 	ctx := context.Background()
 	for _, scorer := range []string{"user-cf", "profile"} {
-		for _, method := range []Method{MethodGreedy, MethodBrute, MethodMapReduce} {
-			if method == MethodMapReduce && scorer != "user-cf" {
-				continue // mapreduce serves only the user-cf scorer
-			}
+		for _, method := range []Method{MethodGreedy, MethodBrute} {
 			q := GroupQuery{Members: groups[0], Z: 5, Method: method, Scorer: scorer, Explain: true}
 			if method == MethodBrute {
 				q.BruteM = 12
@@ -155,7 +152,7 @@ func TestApproxQueryValidation(t *testing.T) {
 	if !errors.Is(err, ErrBadQuery) {
 		t.Errorf("approx without CandidateIndex: err = %v, want ErrBadQuery", err)
 	}
-	_, err = sysOn.Serve(ctx, GroupQuery{Members: groups[0], Z: 5, Approx: true, Method: MethodMapReduce})
+	_, err = sysOn.Serve(ctx, GroupQuery{Members: groups[0], Z: 5, Approx: true, Method: "mapreduce"})
 	if !errors.Is(err, ErrBadQuery) {
 		t.Errorf("approx + mapreduce: err = %v, want ErrBadQuery", err)
 	}

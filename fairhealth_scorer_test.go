@@ -70,12 +70,11 @@ func scorerSystem(t *testing.T) (*System, [][]string) {
 }
 
 // TestScorerUserCFBitIdenticalToDefault: naming the default scorer
-// explicitly changes nothing, across every solver method and the
-// legacy wrappers.
+// explicitly changes nothing, across every solver method.
 func TestScorerUserCFBitIdenticalToDefault(t *testing.T) {
 	sys, groups := scorerSystem(t)
 	ctx := context.Background()
-	for _, method := range []Method{MethodGreedy, MethodBrute, MethodMapReduce} {
+	for _, method := range []Method{MethodGreedy, MethodBrute} {
 		q := GroupQuery{Members: groups[0], Z: 5, Method: method, Explain: true}
 		if method == MethodBrute {
 			q.BruteM = 12
@@ -91,15 +90,6 @@ func TestScorerUserCFBitIdenticalToDefault(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base, named) {
 			t.Errorf("%s: Scorer \"user-cf\" diverged from the empty default", method)
-		}
-		if method == MethodGreedy {
-			legacy, err := sys.GroupRecommend(groups[0], 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(base, legacy) {
-				t.Error("greedy: legacy GroupRecommend diverged from Serve")
-			}
 		}
 	}
 }
@@ -304,7 +294,7 @@ func TestScorerValidation(t *testing.T) {
 		t.Error("Validate accepted an unknown scorer")
 	}
 	if _, err := sys.Serve(context.Background(), GroupQuery{
-		Members: groups[0], Method: MethodMapReduce, Scorer: "item-cf",
+		Members: groups[0], Method: "mapreduce", Scorer: "item-cf",
 	}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("mapreduce+item-cf err = %v, want ErrBadQuery", err)
 	}
@@ -322,7 +312,7 @@ func TestScorerValidation(t *testing.T) {
 	}
 	// ...and makes a scorerless mapreduce query invalid.
 	if _, err := cfg.Serve(context.Background(), GroupQuery{
-		Members: []string{"a"}, Method: MethodMapReduce,
+		Members: []string{"a"}, Method: "mapreduce",
 	}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("mapreduce under item-cf default err = %v, want ErrBadQuery", err)
 	}

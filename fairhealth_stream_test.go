@@ -12,13 +12,13 @@ import (
 
 func TestGroupRecommendStreamMatchesBatch(t *testing.T) {
 	sys, groups := batchSystem(t, 3)
-	want, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+	want, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
 	var got []BatchGroupResult
-	err = sys.GroupRecommendStream(context.Background(), groups, 6, func(e BatchGroupResult) error {
+	err = sys.ServeStream(context.Background(), greedyQueries(groups, 6), func(e BatchGroupResult) error {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, e)
@@ -53,7 +53,7 @@ func TestGroupRecommendStreamMatchesBatch(t *testing.T) {
 func TestGroupRecommendStreamCallbackSerialized(t *testing.T) {
 	sys, groups := batchSystem(t, 4)
 	inFn := 0
-	err := sys.GroupRecommendStream(context.Background(), groups, 6, func(e BatchGroupResult) error {
+	err := sys.ServeStream(context.Background(), greedyQueries(groups, 6), func(e BatchGroupResult) error {
 		inFn++ // no lock: -race proves fn is never invoked concurrently
 		defer func() { inFn-- }()
 		if inFn != 1 {
@@ -70,7 +70,7 @@ func TestGroupRecommendStreamFnErrorStops(t *testing.T) {
 	sys, groups := batchSystem(t, 2)
 	boom := errors.New("sink full")
 	seen := 0
-	err := sys.GroupRecommendStream(context.Background(), groups, 6, func(e BatchGroupResult) error {
+	err := sys.ServeStream(context.Background(), greedyQueries(groups, 6), func(e BatchGroupResult) error {
 		seen++
 		if seen == 2 {
 			return boom
@@ -90,7 +90,7 @@ func TestGroupRecommendStreamCancelledUpfront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var entries []BatchGroupResult
-	err := sys.GroupRecommendStream(ctx, groups, 6, func(e BatchGroupResult) error {
+	err := sys.ServeStream(ctx, greedyQueries(groups, 6), func(e BatchGroupResult) error {
 		entries = append(entries, e)
 		return nil
 	})
@@ -109,11 +109,11 @@ func TestGroupRecommendStreamCancelledUpfront(t *testing.T) {
 
 func TestGroupRecommendStreamValidation(t *testing.T) {
 	sys, groups := batchSystem(t, 1)
-	if err := sys.GroupRecommendStream(context.Background(), groups, 6, nil); err == nil {
+	if err := sys.ServeStream(context.Background(), greedyQueries(groups, 6), nil); err == nil {
 		t.Error("nil callback accepted")
 	}
 	calls := 0
-	if err := sys.GroupRecommendStream(context.Background(), nil, 6, func(BatchGroupResult) error {
+	if err := sys.ServeStream(context.Background(), greedyQueries(nil, 6), func(BatchGroupResult) error {
 		calls++
 		return nil
 	}); err != nil || calls != 0 {
@@ -127,7 +127,7 @@ func TestGroupRecommendStreamPartialFailure(t *testing.T) {
 	sys, groups := batchSystem(t, 2)
 	mixed := [][]string{groups[0], {}, groups[1]}
 	byIndex := make(map[int]BatchGroupResult)
-	err := sys.GroupRecommendStream(context.Background(), mixed, 6, func(e BatchGroupResult) error {
+	err := sys.ServeStream(context.Background(), greedyQueries(mixed, 6), func(e BatchGroupResult) error {
 		byIndex[e.Index] = e
 		return nil
 	})
@@ -188,10 +188,10 @@ func assertSystemsAgree(t *testing.T, label string, warm, cold *System, groups [
 				t.Fatalf("%s: stale personal list for %s:\n warm %+v\n cold %+v", label, u, wr, cr)
 			}
 		}
-		wg, err1 := warm.GroupRecommend(g, 6)
-		cg, err2 := cold.GroupRecommend(g, 6)
+		wg, err1 := warm.Serve(context.Background(), greedyQuery(g, 6))
+		cg, err2 := cold.Serve(context.Background(), greedyQuery(g, 6))
 		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: GroupRecommend(%v): %v / %v", label, g, err1, err2)
+			t.Fatalf("%s: Serve(%v): %v / %v", label, g, err1, err2)
 		}
 		if !reflect.DeepEqual(wg, cg) {
 			t.Fatalf("%s: stale group result for %v:\n warm %+v\n cold %+v", label, g, wg, cg)
@@ -211,7 +211,7 @@ func TestScopedInvalidationEquivalence(t *testing.T) {
 	if _, err := sys.PrecomputeSimilarity(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.GroupRecommendBatch(context.Background(), groups, 6); err != nil {
+	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 		t.Fatal(err)
 	}
 	users := sys.SortedUsers()
@@ -263,7 +263,7 @@ func TestConcurrentWritesThenEquivalence(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 4; round++ {
-		batch, err := sys.GroupRecommendBatch(context.Background(), groups, 6)
+		batch, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"fairhealth/internal/dataset"
+	"fairhealth/internal/model"
+	"fairhealth/internal/mrpipeline"
 )
 
 // seedCommunity loads a small deterministic world: two like-minded
@@ -157,7 +159,7 @@ func TestRecommendPersonal(t *testing.T) {
 func TestGroupRecommend(t *testing.T) {
 	sys := newRatingsSystem(t)
 	seedCommunity(t, sys)
-	res, err := sys.GroupRecommend([]string{"g1", "g2"}, 2)
+	res, err := sys.Serve(context.Background(), greedyQuery([]string{"g1", "g2"}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestGroupRecommend(t *testing.T) {
 		t.Error("PerMember lists missing")
 	}
 	// duplicate member IDs collapse
-	res2, err := sys.GroupRecommend([]string{"g1", "g1", "g2"}, 2)
+	res2, err := sys.Serve(context.Background(), greedyQuery([]string{"g1", "g1", "g2"}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,18 +188,18 @@ func TestGroupRecommend(t *testing.T) {
 func TestGroupRecommendErrors(t *testing.T) {
 	sys := newRatingsSystem(t)
 	seedCommunity(t, sys)
-	if _, err := sys.GroupRecommend(nil, 3); !errors.Is(err, ErrEmptyGroup) {
+	if _, err := sys.Serve(context.Background(), greedyQuery(nil, 3)); !errors.Is(err, ErrEmptyGroup) {
 		t.Errorf("empty group: %v", err)
 	}
 	// z=0 means DefaultZ under the shared validator; negative z is the
 	// invalid case and reports ErrBadQuery.
-	if res, err := sys.GroupRecommend([]string{"g1"}, 0); err != nil || len(res.Items) == 0 {
+	if res, err := sys.Serve(context.Background(), greedyQuery([]string{"g1"}, 0)); err != nil || len(res.Items) == 0 {
 		t.Errorf("z=0 should default to %d: res=%+v err=%v", DefaultZ, res, err)
 	}
-	if _, err := sys.GroupRecommend([]string{"g1"}, -1); !errors.Is(err, ErrBadQuery) {
+	if _, err := sys.Serve(context.Background(), greedyQuery([]string{"g1"}, -1)); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("z=-1 error = %v, want ErrBadQuery", err)
 	}
-	if _, err := sys.GroupRecommend([]string{"ghost-user"}, 3); !errors.Is(err, ErrUnknownPatient) {
+	if _, err := sys.Serve(context.Background(), greedyQuery([]string{"ghost-user"}, 3)); !errors.Is(err, ErrUnknownPatient) {
 		t.Errorf("unknown member error = %v, want ErrUnknownPatient", err)
 	}
 }
@@ -205,11 +207,13 @@ func TestGroupRecommendErrors(t *testing.T) {
 func TestGroupRecommendBruteForceAgreesOnFairness(t *testing.T) {
 	sys := newRatingsSystem(t)
 	seedCommunity(t, sys)
-	greedy, err := sys.GroupRecommend([]string{"g1", "g2"}, 2)
+	greedy, err := sys.Serve(context.Background(), greedyQuery([]string{"g1", "g2"}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	brute, err := sys.GroupRecommendBruteForce([]string{"g1", "g2"}, 2, 0, 0)
+	brute, err := sys.Serve(context.Background(), GroupQuery{
+		Members: []string{"g1", "g2"}, Z: 2, Method: MethodBrute, Explain: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,17 +240,29 @@ func TestGroupTopZIgnoresFairness(t *testing.T) {
 	}
 }
 
+// TestGroupRecommendMapReduceMatchesDirect runs the §IV pipeline over
+// the System's own rating triples, under the System's δ, overlap and
+// K, and checks it selects what Serve's greedy path selects.
 func TestGroupRecommendMapReduceMatchesDirect(t *testing.T) {
 	sys := newRatingsSystem(t)
 	seedCommunity(t, sys)
-	direct, err := sys.GroupRecommend([]string{"g1", "g2"}, 2)
+	ctx := context.Background()
+	direct, err := sys.Serve(ctx, greedyQuery([]string{"g1", "g2"}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := sys.GroupRecommendMapReduce(context.Background(), []string{"g1", "g2"}, 2)
+	out, err := mrpipeline.Run(ctx, sys.ratings.Triples(), mrpipeline.Config{
+		Group:      model.Group{"g1", "g2"},
+		Delta:      sys.cfg.Delta,
+		MinOverlap: sys.cfg.MinOverlap,
+		K:          sys.cfg.K,
+		Z:          2,
+		Aggregator: sys.cfg.Aggregation,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mr := out.Fair
 	if mr.Fairness != direct.Fairness {
 		t.Errorf("fairness: MR %v vs direct %v", mr.Fairness, direct.Fairness)
 	}
@@ -257,7 +273,7 @@ func TestGroupRecommendMapReduceMatchesDirect(t *testing.T) {
 		t.Fatalf("items: MR %v vs direct %v", mr.Items, direct.Items)
 	}
 	for k := range mr.Items {
-		if mr.Items[k].Item != direct.Items[k].Item {
+		if string(mr.Items[k]) != direct.Items[k].Item {
 			t.Errorf("item %d: MR %v vs direct %v", k, mr.Items[k], direct.Items[k])
 		}
 	}
@@ -406,7 +422,7 @@ func TestEndToEndOnSyntheticDataset(t *testing.T) {
 	for k, u := range g {
 		users[k] = string(u)
 	}
-	res, err := sys.GroupRecommend(users, 6)
+	res, err := sys.Serve(context.Background(), greedyQuery(users, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +478,7 @@ func TestPersistentSystemSurvivesRestart(t *testing.T) {
 	if err := sys.AddPatient(Patient{ID: "g1", Age: 50, Gender: "female", Problems: []string{"10509002"}}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.GroupRecommend([]string{"g1", "g2"}, 2)
+	want, err := sys.Serve(context.Background(), greedyQuery([]string{"g1", "g2"}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +500,7 @@ func TestPersistentSystemSurvivesRestart(t *testing.T) {
 	if err != nil || p.Age != 50 {
 		t.Fatalf("restored patient = %+v, %v", p, err)
 	}
-	got, err := sys2.GroupRecommend([]string{"g1", "g2"}, 2)
+	got, err := sys2.Serve(context.Background(), greedyQuery([]string{"g1", "g2"}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,27 +570,23 @@ func TestConsensusAggregationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedCommunity(t, sys)
-	res, err := sys.GroupRecommend([]string{"g1", "g2"}, 2)
+	res, err := sys.Serve(context.Background(), greedyQuery([]string{"g1", "g2"}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Items) != 2 || res.Fairness != 1 {
 		t.Errorf("consensus result = %+v", res)
 	}
-	// MapReduce path must reject non-paper aggregators
-	if _, err := sys.GroupRecommendMapReduce(context.Background(), []string{"g1", "g2"}, 2); !errors.Is(err, ErrBadQuery) {
-		t.Errorf("MR with consensus: %v, want ErrBadQuery", err)
-	}
-	// ...but a per-query aggregation override can use the paper's
-	// semantics on the same system without rebuilding it.
-	mr, err := sys.Serve(context.Background(), GroupQuery{
-		Members: []string{"g1", "g2"}, Z: 2, Method: MethodMapReduce, Aggregation: "avg",
+	// A per-query aggregation override can use the paper's semantics on
+	// the same system without rebuilding it.
+	avg, err := sys.Serve(context.Background(), GroupQuery{
+		Members: []string{"g1", "g2"}, Z: 2, Aggregation: "avg",
 	})
 	if err != nil {
-		t.Fatalf("MR with per-query avg: %v", err)
+		t.Fatalf("per-query avg: %v", err)
 	}
-	if len(mr.Items) != 2 {
-		t.Errorf("MR per-query avg items = %+v", mr.Items)
+	if len(avg.Items) != 2 {
+		t.Errorf("per-query avg items = %+v", avg.Items)
 	}
 }
 

@@ -24,7 +24,7 @@
 //	POST /v1/groups/recommend:batch  fair top-z for many groups ?stream=true → NDJSON
 //
 // POST /v1/groups/recommend takes the full fairhealth.GroupQuery as
-// its body — members, z, method (greedy|brute|mapreduce), relevance
+// its body — members, z, method (greedy|brute), relevance
 // scorer (user-cf|item-cf|profile), brute-force bounds, per-query
 // aggregation and fairness k, and an explain flag — and the batch
 // endpoint takes a list of such queries, so one batch can mix methods,
@@ -49,14 +49,6 @@
 // with the status drawn from the exhaustive ErrorStatus mapping — an
 // unknown patient is 404 on every route, an invalid query 400, a
 // domain-rule violation 422, and so on.
-//
-// # Deprecated /api aliases
-//
-// Every pre-v1 route (GET /api/stats, GET /api/group-recommendations,
-// ...) remains mounted as a deprecated alias that adapts into the same
-// v1 handler — equivalence-tested, answering identical payloads — and
-// marks its responses with Deprecation: true and a Link to the v1
-// replacement.
 package httpapi
 
 import (
@@ -67,7 +59,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"fairhealth"
@@ -164,8 +155,6 @@ func NewWithOptions(sys Backend, opts Options) *Server {
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 
-	// Routes served identically under /v1 and the deprecated /api
-	// prefix. The alias IS the v1 handler — one code path, two mounts.
 	routes := []struct {
 		method, path string
 		h            http.HandlerFunc
@@ -180,28 +169,15 @@ func NewWithOptions(sys Backend, opts Options) *Server {
 		{"GET", "/correspondences", s.handleCorrespondences},
 		{"GET", "/recommendations", s.handleRecommend},
 		{"GET", "/peers", s.handlePeers},
+		{"POST", "/groups/recommend", s.handleGroupQuery},
+		{"POST", "/groups/recommend:batch", s.handleGroupBatch},
 	}
 	for _, rt := range routes {
 		s.mux.HandleFunc(rt.method+" /v1"+rt.path, rt.h)
-		s.mux.Handle(rt.method+" /api"+rt.path, deprecated(rt.h))
 	}
-	s.mux.HandleFunc("POST /v1/groups/recommend", s.handleGroupRecommendV1)
-	s.mux.HandleFunc("POST /v1/groups/recommend:batch", s.handleGroupRecommendBatch)
-	// The legacy query-param group endpoint adapts into the same
-	// GroupQuery path as POST /v1/groups/recommend.
-	s.mux.Handle("GET /api/group-recommendations", deprecated(http.HandlerFunc(s.handleGroupRecommendLegacy)))
 
 	s.handler = s.chain(s.mux)
 	return s
-}
-
-// deprecated marks an aliased legacy route's responses.
-func deprecated(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `<docs/api.md>; rel="successor-version"`)
-		next.ServeHTTP(w, r)
-	})
 }
 
 // ServeHTTP implements http.Handler.
@@ -266,7 +242,7 @@ type GroupQueryBody struct {
 	Members []string `json:"members"`
 	// Z is the number of recommendations (0 → server default).
 	Z int `json:"z,omitempty"`
-	// Method is greedy (default) | brute | mapreduce.
+	// Method is greedy (default) | brute.
 	Method string `json:"method,omitempty"`
 	// BruteM bounds the brute-force candidate pool: 0 → DefaultBruteM,
 	// negative → all candidates.
@@ -284,8 +260,7 @@ type GroupQueryBody struct {
 	Explain bool `json:"explain,omitempty"`
 	// Approx restricts peer discovery to the candidate index's
 	// cluster neighborhood (recall traded for throughput). Requires
-	// the server to run with the candidate index enabled; rejected
-	// for the mapreduce method.
+	// the server to run with the candidate index enabled.
 	Approx bool `json:"approx,omitempty"`
 }
 
@@ -332,7 +307,7 @@ func (b GroupQueryBody) toQuery() (fairhealth.GroupQuery, error) {
 	}, nil
 }
 
-// GroupResponse is the group recommendation payload (v1 and legacy).
+// GroupResponse is the POST /v1/groups/recommend payload.
 type GroupResponse struct {
 	Items        []fairhealth.Recommendation            `json:"items"`
 	Fairness     float64                                `json:"fairness"`
@@ -343,16 +318,9 @@ type GroupResponse struct {
 }
 
 // BatchGroupsBody is the POST /v1/groups/recommend:batch payload.
-// Queries is the v1 form; the deprecated Groups+Z form (uniform greedy
-// queries) is still accepted for pre-v1 clients.
 type BatchGroupsBody struct {
 	// Queries lists the full per-group queries to serve.
 	Queries []GroupQueryBody `json:"queries,omitempty"`
-	// Groups is the deprecated uniform form: member lists all served
-	// with Z and the greedy method.
-	Groups [][]string `json:"groups,omitempty"`
-	// Z is the recommendations per group for the Groups form.
-	Z int `json:"z,omitempty"`
 }
 
 // BatchGroupEntry is one query's outcome inside a batch response. A
@@ -421,22 +389,6 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	if err != nil || v < 1 {
 		return 0, coded(CodeInvalidArgument,
 			fmt.Errorf("parameter %s must be a positive integer, got %q", name, raw))
-	}
-	return v, nil
-}
-
-// looseIntParam parses an integer query parameter without a range
-// restriction — range rules belong to the shared GroupQuery validator,
-// so ?z= and a JSON z field are rejected identically by the library.
-func looseIntParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, coded(CodeInvalidArgument,
-			fmt.Errorf("parameter %s must be an integer, got %q", name, raw))
 	}
 	return v, nil
 }
@@ -631,9 +583,17 @@ func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"user": user, "peers": peers})
 }
 
-// serveGroupQuery is the one group-serving path both the v1 body
-// endpoint and the legacy query-param alias feed into.
-func (s *Server) serveGroupQuery(w http.ResponseWriter, r *http.Request, q fairhealth.GroupQuery) {
+func (s *Server) handleGroupQuery(w http.ResponseWriter, r *http.Request) {
+	var body GroupQueryBody
+	if err := decodeBody(w, r, &body); err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	q, err := body.toQuery()
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
 	res, err := s.sys.Serve(r.Context(), q)
 	if err != nil {
 		s.writeError(w, r, ctxErr(r.Context(), err))
@@ -651,54 +611,6 @@ func (s *Server) serveGroupQuery(w http.ResponseWriter, r *http.Request, q fairh
 		Method:       string(method),
 		Combinations: res.Combinations,
 	})
-}
-
-func (s *Server) handleGroupRecommendV1(w http.ResponseWriter, r *http.Request) {
-	var body GroupQueryBody
-	if err := decodeBody(w, r, &body); err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	q, err := body.toQuery()
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.serveGroupQuery(w, r, q)
-}
-
-// handleGroupRecommendLegacy adapts the deprecated query-param form
-// (?users=a,b&z=&method=&m=) into the v1 GroupQuery path. Legacy
-// responses always carried per_member, so the adapter sets Explain.
-func (s *Server) handleGroupRecommendLegacy(w http.ResponseWriter, r *http.Request) {
-	users, err := requiredParam(r, "users")
-	if err != nil {
-		s.writeError(w, r, coded(CodeInvalidArgument, errors.New("users parameter required (comma-separated)")))
-		return
-	}
-	z, err := looseIntParam(r, "z")
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	m, err := looseIntParam(r, "m")
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	body := GroupQueryBody{
-		Members: strings.Split(users, ","),
-		Z:       z,
-		Method:  r.URL.Query().Get("method"),
-		BruteM:  m,
-		Explain: true,
-	}
-	q, err := body.toQuery()
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.serveGroupQuery(w, r, q)
 }
 
 // batchEntry converts one library batch result into its wire form.
@@ -722,31 +634,16 @@ func batchEntry(br fairhealth.BatchGroupResult) BatchGroupEntry {
 // validating shape and bounds up front so a malformed batch is
 // rejected before any work starts.
 func batchQueries(body BatchGroupsBody) ([]fairhealth.GroupQuery, error) {
-	if len(body.Queries) > 0 && len(body.Groups) > 0 {
-		return nil, coded(CodeInvalidArgument, errors.New("use either queries or the deprecated groups form, not both"))
+	if len(body.Queries) == 0 {
+		return nil, coded(CodeInvalidArgument, errors.New("queries required"))
 	}
-	var queries []fairhealth.GroupQuery
-	switch {
-	case len(body.Queries) > 0:
-		queries = make([]fairhealth.GroupQuery, len(body.Queries))
-		for k, qb := range body.Queries {
-			q, err := qb.toQuery()
-			if err != nil {
-				return nil, fmt.Errorf("queries[%d]: %w", k, err)
-			}
-			queries[k] = q
+	queries := make([]fairhealth.GroupQuery, len(body.Queries))
+	for k, qb := range body.Queries {
+		q, err := qb.toQuery()
+		if err != nil {
+			return nil, fmt.Errorf("queries[%d]: %w", k, err)
 		}
-	case len(body.Groups) > 0:
-		queries = make([]fairhealth.GroupQuery, len(body.Groups))
-		for k, g := range body.Groups {
-			q, err := GroupQueryBody{Members: g, Z: body.Z}.toQuery()
-			if err != nil {
-				return nil, fmt.Errorf("groups[%d]: %w", k, err)
-			}
-			queries[k] = q
-		}
-	default:
-		return nil, coded(CodeInvalidArgument, errors.New("queries (or deprecated groups) required"))
+		queries[k] = q
 	}
 	if len(queries) > MaxBatchGroups {
 		return nil, coded(CodeInvalidArgument,
@@ -760,7 +657,7 @@ func batchQueries(body BatchGroupsBody) ([]fairhealth.GroupQuery, error) {
 	return queries, nil
 }
 
-func (s *Server) handleGroupRecommendBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleGroupBatch(w http.ResponseWriter, r *http.Request) {
 	var body BatchGroupsBody
 	if err := decodeBody(w, r, &body); err != nil {
 		s.writeError(w, r, err)
@@ -772,7 +669,7 @@ func (s *Server) handleGroupRecommendBatch(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	if stream, _ := strconv.ParseBool(r.URL.Query().Get("stream")); stream {
-		s.streamGroupRecommendBatch(w, r, queries)
+		s.streamGroupBatch(w, r, queries)
 		return
 	}
 	// r.Context() cancels when the client disconnects or the request
@@ -792,14 +689,14 @@ func (s *Server) handleGroupRecommendBatch(w http.ResponseWriter, r *http.Reques
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// streamGroupRecommendBatch answers the batch as NDJSON: one
+// streamGroupBatch answers the batch as NDJSON: one
 // BatchGroupEntry per line, written and flushed as each query
 // completes. The 200 and content type go out with the FIRST entry, so
 // a failure preceding any result (e.g. the similarity build) still
 // gets a proper error status; after that, failures can only be
 // reported in-band (per-entry error fields) or by truncating the
 // stream.
-func (s *Server) streamGroupRecommendBatch(w http.ResponseWriter, r *http.Request, queries []fairhealth.GroupQuery) {
+func (s *Server) streamGroupBatch(w http.ResponseWriter, r *http.Request, queries []fairhealth.GroupQuery) {
 	flusher, _ := w.(http.Flusher)
 	started := false
 	err := s.sys.ServeStream(r.Context(), queries, func(e fairhealth.BatchGroupResult) error {

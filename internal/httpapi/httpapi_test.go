@@ -82,7 +82,7 @@ func TestHealthz(t *testing.T) {
 func TestStats(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
-	rec := do(t, srv, "GET", "/api/stats", nil)
+	rec := do(t, srv, "GET", "/v1/stats", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -95,14 +95,14 @@ func TestStats(t *testing.T) {
 func TestPatientEndpoints(t *testing.T) {
 	srv, _ := newTestServer(t)
 	// create
-	rec := do(t, srv, "POST", "/api/patients", PatientBody{
+	rec := do(t, srv, "POST", "/v1/patients", PatientBody{
 		ID: "alice", Age: 40, Gender: "female", Problems: []string{"10509002"},
 	})
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create status = %d body=%s", rec.Code, rec.Body.String())
 	}
 	// fetch
-	rec = do(t, srv, "GET", "/api/patients/alice", nil)
+	rec = do(t, srv, "GET", "/v1/patients/alice", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("get status = %d", rec.Code)
 	}
@@ -111,24 +111,24 @@ func TestPatientEndpoints(t *testing.T) {
 		t.Errorf("patient = %+v", p)
 	}
 	// list
-	rec = do(t, srv, "GET", "/api/patients", nil)
+	rec = do(t, srv, "GET", "/v1/patients", nil)
 	got := decode[map[string][]string](t, rec)
 	if len(got["patients"]) != 1 || got["patients"][0] != "alice" {
 		t.Errorf("list = %v", got)
 	}
 	// missing
-	rec = do(t, srv, "GET", "/api/patients/ghost", nil)
+	rec = do(t, srv, "GET", "/v1/patients/ghost", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("missing patient status = %d", rec.Code)
 	}
 	// invalid payloads
-	if rec := do(t, srv, "POST", "/api/patients", PatientBody{}); rec.Code != http.StatusBadRequest {
+	if rec := do(t, srv, "POST", "/v1/patients", PatientBody{}); rec.Code != http.StatusBadRequest {
 		t.Errorf("empty id status = %d", rec.Code)
 	}
-	if rec := do(t, srv, "POST", "/api/patients", PatientBody{ID: "bob", Problems: []string{"nope"}}); rec.Code != http.StatusUnprocessableEntity {
+	if rec := do(t, srv, "POST", "/v1/patients", PatientBody{ID: "bob", Problems: []string{"nope"}}); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("bad problem code status = %d", rec.Code)
 	}
-	req := httptest.NewRequest("POST", "/api/patients", strings.NewReader("{broken"))
+	req := httptest.NewRequest("POST", "/v1/patients", strings.NewReader("{broken"))
 	w := httptest.NewRecorder()
 	srv.ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest {
@@ -138,17 +138,17 @@ func TestPatientEndpoints(t *testing.T) {
 
 func TestRatingEndpoint(t *testing.T) {
 	srv, sys := newTestServer(t)
-	rec := do(t, srv, "POST", "/api/ratings", RatingBody{User: "u1", Item: "d1", Value: 4})
+	rec := do(t, srv, "POST", "/v1/ratings", RatingBody{User: "u1", Item: "d1", Value: 4})
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
 	if sys.Stats().Ratings != 1 {
 		t.Error("rating not persisted")
 	}
-	if rec := do(t, srv, "POST", "/api/ratings", RatingBody{User: "u1", Item: "d1", Value: 11}); rec.Code != http.StatusUnprocessableEntity {
+	if rec := do(t, srv, "POST", "/v1/ratings", RatingBody{User: "u1", Item: "d1", Value: 11}); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("out-of-range status = %d", rec.Code)
 	}
-	if rec := do(t, srv, "POST", "/api/ratings", RatingBody{Item: "d1", Value: 3}); rec.Code != http.StatusBadRequest {
+	if rec := do(t, srv, "POST", "/v1/ratings", RatingBody{Item: "d1", Value: 3}); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing user status = %d", rec.Code)
 	}
 }
@@ -156,7 +156,7 @@ func TestRatingEndpoint(t *testing.T) {
 func TestRecommendEndpoint(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
-	rec := do(t, srv, "GET", "/api/recommendations?user=g1&k=2", nil)
+	rec := do(t, srv, "GET", "/v1/recommendations?user=g1&k=2", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
@@ -171,15 +171,15 @@ func TestRecommendEndpoint(t *testing.T) {
 		t.Errorf("items = %+v", body.Items)
 	}
 	// parameter validation
-	if rec := do(t, srv, "GET", "/api/recommendations", nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, srv, "GET", "/v1/recommendations", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing user status = %d", rec.Code)
 	}
-	if rec := do(t, srv, "GET", "/api/recommendations?user=g1&k=-2", nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, srv, "GET", "/v1/recommendations?user=g1&k=-2", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad k status = %d", rec.Code)
 	}
 	// unknown user → 404 with the unknown_patient code (regression:
 	// this used to leak through as a 200/500 depending on the path)
-	rec = do(t, srv, "GET", "/api/recommendations?user=ghost", nil)
+	rec = do(t, srv, "GET", "/v1/recommendations?user=ghost", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("unknown user status = %d, want 404", rec.Code)
 	}
@@ -191,7 +191,7 @@ func TestRecommendEndpoint(t *testing.T) {
 func TestPeersEndpoint(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
-	rec := do(t, srv, "GET", "/api/peers?user=g1", nil)
+	rec := do(t, srv, "GET", "/v1/peers?user=g1", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -204,7 +204,7 @@ func TestPeersEndpoint(t *testing.T) {
 	if len(body.Peers) == 0 {
 		t.Error("no peers returned")
 	}
-	if rec := do(t, srv, "GET", "/api/peers", nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, srv, "GET", "/v1/peers", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing user status = %d", rec.Code)
 	}
 }
@@ -212,7 +212,9 @@ func TestPeersEndpoint(t *testing.T) {
 func TestGroupRecommendationEndpoint(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
-	rec := do(t, srv, "GET", "/api/group-recommendations?users=g1,g2&z=2", nil)
+	rec := do(t, srv, "POST", "/v1/groups/recommend", GroupQueryBody{
+		Members: []string{"g1", "g2"}, Z: 2, Explain: true,
+	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
@@ -229,8 +231,10 @@ func TestGroupRecommendationMethods(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
 	results := map[string]GroupResponse{}
-	for _, method := range []string{"greedy", "brute", "mapreduce"} {
-		rec := do(t, srv, "GET", fmt.Sprintf("/api/group-recommendations?users=g1,g2&z=2&method=%s", method), nil)
+	for _, method := range []string{"greedy", "brute"} {
+		rec := do(t, srv, "POST", "/v1/groups/recommend", GroupQueryBody{
+			Members: []string{"g1", "g2"}, Z: 2, Method: method, Explain: true,
+		})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s status = %d body=%s", method, rec.Code, rec.Body.String())
 		}
@@ -252,24 +256,22 @@ func TestGroupRecommendationMethods(t *testing.T) {
 func TestGroupRecommendationValidation(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
-	cases := []struct {
-		path string
-		want int
-	}{
-		{"/api/group-recommendations", http.StatusBadRequest},
-		{"/api/group-recommendations?users=g1,g2&z=abc", http.StatusBadRequest},
-		{"/api/group-recommendations?users=g1,g2&method=oracle", http.StatusBadRequest},
-	}
-	for _, c := range cases {
-		if rec := do(t, srv, "GET", c.path, nil); rec.Code != c.want {
-			t.Errorf("%s status = %d, want %d", c.path, rec.Code, c.want)
+	for _, body := range []string{
+		`{}`,
+		`{"members":["g1","g2"],"z":"abc"}`,
+		`{"members":["g1","g2"],"method":"oracle"}`,
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/groups/recommend", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s status = %d, want %d", body, rec.Code, http.StatusBadRequest)
 		}
 	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
 	srv, _ := newTestServer(t)
-	rec := do(t, srv, "DELETE", "/api/patients", nil)
+	rec := do(t, srv, "DELETE", "/v1/patients", nil)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE status = %d, want 405", rec.Code)
 	}
@@ -277,7 +279,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestErrorBodiesAreJSON(t *testing.T) {
 	srv, _ := newTestServer(t)
-	rec := do(t, srv, "GET", "/api/recommendations", nil)
+	rec := do(t, srv, "GET", "/v1/recommendations", nil)
 	var e ErrorBody
 	if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
 		t.Errorf("error body not the machine-readable envelope: %q (%v)", rec.Body.String(), err)
@@ -297,20 +299,20 @@ func TestDocumentAndSearchEndpoints(t *testing.T) {
 		{ID: "doc2", Title: "Heart healthy diet", Body: "heart cholesterol diet fiber"},
 	}
 	for _, d := range docs {
-		if rec := do(t, srv, "POST", "/api/documents", d); rec.Code != http.StatusCreated {
+		if rec := do(t, srv, "POST", "/v1/documents", d); rec.Code != http.StatusCreated {
 			t.Fatalf("create doc status = %d body=%s", rec.Code, rec.Body.String())
 		}
 	}
 	// duplicate rejected
-	if rec := do(t, srv, "POST", "/api/documents", docs[0]); rec.Code != http.StatusUnprocessableEntity {
+	if rec := do(t, srv, "POST", "/v1/documents", docs[0]); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("duplicate doc status = %d", rec.Code)
 	}
 	// missing id rejected
-	if rec := do(t, srv, "POST", "/api/documents", DocumentBody{Title: "x"}); rec.Code != http.StatusBadRequest {
+	if rec := do(t, srv, "POST", "/v1/documents", DocumentBody{Title: "x"}); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing id status = %d", rec.Code)
 	}
 
-	rec := do(t, srv, "GET", "/api/search?q=chemotherapy+nausea&k=5", nil)
+	rec := do(t, srv, "GET", "/v1/search?q=chemotherapy+nausea&k=5", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search status = %d body=%s", rec.Code, rec.Body.String())
 	}
@@ -328,12 +330,12 @@ func TestDocumentAndSearchEndpoints(t *testing.T) {
 		t.Errorf("title = %q", body.Hits[0].Title)
 	}
 	// no-match query returns empty list, 200
-	rec = do(t, srv, "GET", "/api/search?q=zebra", nil)
+	rec = do(t, srv, "GET", "/v1/search?q=zebra", nil)
 	if rec.Code != http.StatusOK {
 		t.Errorf("no-match status = %d", rec.Code)
 	}
 	// missing q
-	if rec := do(t, srv, "GET", "/api/search", nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, srv, "GET", "/v1/search", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing q status = %d", rec.Code)
 	}
 }
@@ -343,13 +345,13 @@ func TestDocumentAndSearchEndpoints(t *testing.T) {
 func TestSearchThenRateRoundTrip(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
-	if rec := do(t, srv, "POST", "/api/documents", DocumentBody{
+	if rec := do(t, srv, "POST", "/v1/documents", DocumentBody{
 		ID: "dA", Title: "Nutrition during chemotherapy", Body: "nutrition chemotherapy appetite",
 	}); rec.Code != http.StatusCreated {
 		t.Fatal("index doc failed")
 	}
 	// a patient finds the document through search...
-	rec := do(t, srv, "GET", "/api/search?q=nutrition", nil)
+	rec := do(t, srv, "GET", "/v1/search?q=nutrition", nil)
 	var sr struct {
 		Hits []fairhealth.SearchResult `json:"hits"`
 	}
@@ -361,10 +363,10 @@ func TestSearchThenRateRoundTrip(t *testing.T) {
 	}
 	// ...and rates it; the rating lands in the same item space the
 	// recommender uses (dA is already a candidate in the seed data)
-	if rec := do(t, srv, "POST", "/api/ratings", RatingBody{User: "p1", Item: sr.Hits[0].Item, Value: 5}); rec.Code != http.StatusCreated {
+	if rec := do(t, srv, "POST", "/v1/ratings", RatingBody{User: "p1", Item: sr.Hits[0].Item, Value: 5}); rec.Code != http.StatusCreated {
 		t.Fatal("rating via search id failed")
 	}
-	stats := decode[fairhealth.Stats](t, do(t, srv, "GET", "/api/stats", nil))
+	stats := decode[fairhealth.Stats](t, do(t, srv, "GET", "/v1/stats", nil))
 	if stats.Documents != 1 {
 		t.Errorf("stats.Documents = %d", stats.Documents)
 	}
@@ -380,7 +382,7 @@ func TestCorrespondencesEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec := do(t, srv, "GET", "/api/correspondences?a=p1&b=p3", nil)
+	rec := do(t, srv, "GET", "/v1/correspondences?a=p1&b=p3", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
@@ -400,10 +402,10 @@ func TestCorrespondencesEndpoint(t *testing.T) {
 		t.Error("missing explanation")
 	}
 	// validation
-	if rec := do(t, srv, "GET", "/api/correspondences?a=p1", nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, srv, "GET", "/v1/correspondences?a=p1", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing b status = %d", rec.Code)
 	}
-	if rec := do(t, srv, "GET", "/api/correspondences?a=p1&b=ghost", nil); rec.Code != http.StatusNotFound {
+	if rec := do(t, srv, "GET", "/v1/correspondences?a=p1&b=ghost", nil); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown patient status = %d", rec.Code)
 	}
 }
@@ -417,11 +419,11 @@ func TestPersonalizedSearchEndpoint(t *testing.T) {
 		{ID: "resp", Title: "Living with bronchitis", Body: "bronchitis cough recovery"},
 		{ID: "gen", Title: "General recovery", Body: "recovery rest hydration"},
 	} {
-		if rec := do(t, srv, "POST", "/api/documents", d); rec.Code != http.StatusCreated {
+		if rec := do(t, srv, "POST", "/v1/documents", d); rec.Code != http.StatusCreated {
 			t.Fatal("doc create failed")
 		}
 	}
-	rec := do(t, srv, "GET", "/api/search?q=recovery&user=p1", nil)
+	rec := do(t, srv, "GET", "/v1/search?q=recovery&user=p1", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
@@ -434,7 +436,7 @@ func TestPersonalizedSearchEndpoint(t *testing.T) {
 	if len(body.Hits) == 0 || body.Hits[0].Item != "resp" {
 		t.Errorf("personalized hits = %+v, want resp first", body.Hits)
 	}
-	if rec := do(t, srv, "GET", "/api/search?q=recovery&user=ghost", nil); rec.Code != http.StatusNotFound {
+	if rec := do(t, srv, "GET", "/v1/search?q=recovery&user=ghost", nil); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown user status = %d", rec.Code)
 	}
 }
@@ -443,8 +445,7 @@ func TestGroupRecommendBatchEndpoint(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
 	rec := do(t, srv, "POST", "/v1/groups/recommend:batch", BatchGroupsBody{
-		Groups: [][]string{{"g1", "g2"}, {"g2", "p1"}},
-		Z:      3,
+		Queries: []GroupQueryBody{{Members: []string{"g1", "g2"}, Z: 3}, {Members: []string{"g2", "p1"}, Z: 3}},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
@@ -454,7 +455,9 @@ func TestGroupRecommendBatchEndpoint(t *testing.T) {
 		t.Fatalf("results = %d, failed = %d, want 2/0", len(resp.Results), resp.Failed)
 	}
 	// Entry 0 must match the single-shot endpoint exactly.
-	single := decode[GroupResponse](t, do(t, srv, "GET", "/api/group-recommendations?users=g1,g2&z=3", nil))
+	single := decode[GroupResponse](t, do(t, srv, "POST", "/v1/groups/recommend", GroupQueryBody{
+		Members: []string{"g1", "g2"}, Z: 3,
+	}))
 	if !reflect.DeepEqual(resp.Results[0].Items, single.Items) {
 		t.Errorf("batch items %v differ from single-shot %v", resp.Results[0].Items, single.Items)
 	}
@@ -470,7 +473,7 @@ func TestGroupRecommendBatchEndpointPartialFailure(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
 	rec := do(t, srv, "POST", "/v1/groups/recommend:batch", BatchGroupsBody{
-		Groups: [][]string{{"g1", "g2"}, {}},
+		Queries: []GroupQueryBody{{Members: []string{"g1", "g2"}}, {}},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
@@ -492,7 +495,7 @@ func TestGroupRecommendBatchEndpointValidation(t *testing.T) {
 	seed(t, sys)
 	for name, body := range map[string]any{
 		"no-groups": BatchGroupsBody{},
-		"bad-z":     BatchGroupsBody{Groups: [][]string{{"g1"}}, Z: -2},
+		"bad-z":     BatchGroupsBody{Queries: []GroupQueryBody{{Members: []string{"g1"}, Z: -2}}},
 		"not-json":  "garbage",
 	} {
 		rec := do(t, srv, "POST", "/v1/groups/recommend:batch", body)
@@ -500,9 +503,9 @@ func TestGroupRecommendBatchEndpointValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, rec.Code)
 		}
 	}
-	big := BatchGroupsBody{Groups: make([][]string, MaxBatchGroups+1)}
-	for i := range big.Groups {
-		big.Groups[i] = []string{"g1", "g2"}
+	big := BatchGroupsBody{Queries: make([]GroupQueryBody, MaxBatchGroups+1)}
+	for i := range big.Queries {
+		big.Queries[i] = GroupQueryBody{Members: []string{"g1", "g2"}}
 	}
 	if rec := do(t, srv, "POST", "/v1/groups/recommend:batch", big); rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch: status = %d, want 400", rec.Code)
@@ -518,7 +521,7 @@ func TestGroupRecommendBatchEndpointBodyTooLarge(t *testing.T) {
 	for i := 0; i < 1<<17; i++ {
 		members = append(members, fmt.Sprintf("m%06d", i)) // ≈ 1.3 MiB encoded
 	}
-	rec := do(t, srv, "POST", "/v1/groups/recommend:batch", BatchGroupsBody{Groups: [][]string{members}})
+	rec := do(t, srv, "POST", "/v1/groups/recommend:batch", BatchGroupsBody{Queries: []GroupQueryBody{{Members: members}}})
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("status = %d, want 413", rec.Code)
 	}
@@ -527,7 +530,9 @@ func TestGroupRecommendBatchEndpointBodyTooLarge(t *testing.T) {
 func TestGroupRecommendBatchEndpointStream(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
-	body := BatchGroupsBody{Groups: [][]string{{"g1", "g2"}, {}, {"g2", "p1"}}, Z: 3}
+	body := BatchGroupsBody{Queries: []GroupQueryBody{
+		{Members: []string{"g1", "g2"}, Z: 3}, {Z: 3}, {Members: []string{"g2", "p1"}, Z: 3},
+	}}
 	rec := do(t, srv, "POST", "/v1/groups/recommend:batch?stream=true", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
@@ -539,8 +544,8 @@ func TestGroupRecommendBatchEndpointStream(t *testing.T) {
 		t.Error("stream never flushed")
 	}
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
-	if len(lines) != len(body.Groups) {
-		t.Fatalf("stream has %d lines, want %d", len(lines), len(body.Groups))
+	if len(lines) != len(body.Queries) {
+		t.Fatalf("stream has %d lines, want %d", len(lines), len(body.Queries))
 	}
 	byIndex := make(map[int]BatchGroupEntry, len(lines))
 	for _, line := range lines {
@@ -550,7 +555,7 @@ func TestGroupRecommendBatchEndpointStream(t *testing.T) {
 		}
 		byIndex[e.Index] = e
 	}
-	if len(byIndex) != len(body.Groups) {
+	if len(byIndex) != len(body.Queries) {
 		t.Fatalf("indices not a permutation of the request: %v", byIndex)
 	}
 	if byIndex[1].Error == nil || byIndex[1].Error.Code != CodeEmptyGroup {

@@ -1,9 +1,9 @@
 package httpapi
 
 // Contract tests for the v1 surface: the machine-readable error
-// envelope (every code × status), legacy-alias equivalence against the
-// v1 routes, the GroupQuery round-trip, the middleware chain, and the
-// cache observability counters on /v1/stats.
+// envelope (every code × status), the removed pre-v1 surfaces, the
+// GroupQuery round-trip, the middleware chain, and the cache
+// observability counters on /v1/stats.
 
 import (
 	"bytes"
@@ -63,7 +63,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	for i := range bigMembers {
 		bigMembers[i] = fmt.Sprintf("m%06d", i) // ≈ 1.3 MiB encoded
 	}
-	oversized, err := json.Marshal(BatchGroupsBody{Groups: [][]string{bigMembers}})
+	oversized, err := json.Marshal(BatchGroupsBody{Queries: []GroupQueryBody{{Members: bigMembers}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,20 +173,17 @@ func TestTooManyCombinationsIsInvalidQuery(t *testing.T) {
 	}
 }
 
-// TestPeersUnknownPatient404 is the second half of the satellite
-// regression: /peers (both mounts) must answer 404, not 500, for a
+// TestPeersUnknownPatient404: /v1/peers must answer 404, not 500, for a
 // patient the system has never seen.
 func TestPeersUnknownPatient404(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
-	for _, path := range []string{"/api/peers?user=ghost", "/v1/peers?user=ghost"} {
-		rec := do(t, srv, "GET", path, nil)
-		if rec.Code != http.StatusNotFound {
-			t.Errorf("%s: status = %d, want 404", path, rec.Code)
-		}
-		if e := decode[ErrorBody](t, rec); e.Error.Code != CodeUnknownPatient {
-			t.Errorf("%s: code = %q, want %q", path, e.Error.Code, CodeUnknownPatient)
-		}
+	rec := do(t, srv, "GET", "/v1/peers?user=ghost", nil)
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("status = %d, want 404", rec.Code)
+	}
+	if e := decode[ErrorBody](t, rec); e.Error.Code != CodeUnknownPatient {
+		t.Errorf("code = %q, want %q", e.Error.Code, CodeUnknownPatient)
 	}
 }
 
@@ -232,106 +229,44 @@ func TestGroupQueryRoundTrip(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("aggregation override status = %d body=%s", rec.Code, rec.Body.String())
 	}
+}
 
-	// mapreduce method over the same route
+// TestRemovedSurfaces pins what the single /v1 group path replaced:
+// the /api tree is gone, a batch must use the queries form, and
+// mapreduce is not a serving method (the §IV pipeline is `fairrec mr`).
+func TestRemovedSurfaces(t *testing.T) {
+	srv, sys := newTestServer(t)
+	seed(t, sys)
+	for _, path := range []string{"/api/stats", "/api/group-recommendations?users=g1,g2"} {
+		if rec := do(t, srv, "GET", path, nil); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s status = %d, want 404", path, rec.Code)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/groups/recommend:batch",
+		strings.NewReader(`{"groups":[["g1"]],"z":2}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("groups-form batch status = %d, want 400", rec.Code)
+	}
+	if e := decode[ErrorBody](t, rec); e.Error.Code != CodeInvalidArgument || strings.Contains(e.Error.Message, "deprecated") {
+		t.Errorf("groups-form batch envelope = %+v, want invalid_argument without a deprecated form", e.Error)
+	}
+
 	rec = do(t, srv, "POST", "/v1/groups/recommend", GroupQueryBody{
 		Members: []string{"g1", "g2"}, Z: 2, Method: "mapreduce",
 	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("mapreduce status = %d body=%s", rec.Code, rec.Body.String())
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("mapreduce status = %d, want 400", rec.Code)
 	}
-	if res = decode[GroupResponse](t, rec); res.Method != "mapreduce" {
-		t.Errorf("mapreduce echo = %q", res.Method)
+	if e := decode[ErrorBody](t, rec); e.Error.Code != CodeInvalidQuery {
+		t.Errorf("mapreduce code = %q, want %q", e.Error.Code, CodeInvalidQuery)
 	}
-}
-
-// TestLegacyAliasEquivalence is the acceptance criterion: every
-// deprecated /api route answers byte-identical payloads to its v1
-// counterpart, and the legacy group endpoint matches POST
-// /v1/groups/recommend item for item.
-func TestLegacyAliasEquivalence(t *testing.T) {
-	srv, sys := newTestServer(t)
-	seed(t, sys)
-	if err := sys.AddPatient(fairhealth.Patient{ID: "alice", Age: 41, Problems: []string{"10509002"}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// 1:1 GET aliases must answer identical bodies.
-	pairs := [][2]string{
-		{"/api/stats", "/v1/stats"},
-		{"/api/patients", "/v1/patients"},
-		{"/api/patients/alice", "/v1/patients/alice"},
-		{"/api/recommendations?user=g1&k=3", "/v1/recommendations?user=g1&k=3"},
-		{"/api/peers?user=g1", "/v1/peers?user=g1"},
-	}
-	for _, pair := range pairs {
-		legacy := do(t, srv, "GET", pair[0], nil)
-		v1 := do(t, srv, "GET", pair[1], nil)
-		if legacy.Code != v1.Code {
-			t.Errorf("%s status %d != %s status %d", pair[0], legacy.Code, pair[1], v1.Code)
-		}
-		// Stats bodies contain live cache counters that move between
-		// the two requests; compare everything except the counters by
-		// decoding into maps and dropping the caches key.
-		lb, vb := decodeMap(t, legacy), decodeMap(t, v1)
-		delete(lb, "caches")
-		delete(vb, "caches")
-		if !reflect.DeepEqual(lb, vb) {
-			t.Errorf("%s body %v != %s body %v", pair[0], lb, pair[1], vb)
-		}
-	}
-
-	// The legacy group endpoint must match the v1 GroupQuery route for
-	// every method, on items, fairness, and value.
-	for _, method := range []string{"greedy", "brute", "mapreduce"} {
-		legacy := do(t, srv, "GET",
-			fmt.Sprintf("/api/group-recommendations?users=g1,g2&z=2&method=%s", method), nil)
-		if legacy.Code != http.StatusOK {
-			t.Fatalf("legacy %s status = %d body=%s", method, legacy.Code, legacy.Body.String())
-		}
-		v1 := do(t, srv, "POST", "/v1/groups/recommend", GroupQueryBody{
-			Members: []string{"g1", "g2"}, Z: 2, Method: method, Explain: true,
-		})
-		if v1.Code != http.StatusOK {
-			t.Fatalf("v1 %s status = %d body=%s", method, v1.Code, v1.Body.String())
-		}
-		lr, vr := decode[GroupResponse](t, legacy), decode[GroupResponse](t, v1)
-		if !reflect.DeepEqual(lr.Items, vr.Items) {
-			t.Errorf("%s: legacy items %v != v1 items %v", method, lr.Items, vr.Items)
-		}
-		if lr.Fairness != vr.Fairness || lr.Value != vr.Value {
-			t.Errorf("%s: legacy fairness/value %v/%v != v1 %v/%v",
-				method, lr.Fairness, lr.Value, vr.Fairness, vr.Value)
-		}
-		if !reflect.DeepEqual(lr.PerMember, vr.PerMember) {
-			t.Errorf("%s: per_member differs", method)
-		}
-	}
-
-	// Alias responses carry the deprecation marker; v1 does not.
-	legacy := do(t, srv, "GET", "/api/stats", nil)
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Error("alias response lacks Deprecation header")
-	}
-	v1 := do(t, srv, "GET", "/v1/stats", nil)
-	if v1.Header().Get("Deprecation") != "" {
-		t.Error("v1 response carries Deprecation header")
-	}
-}
-
-func decodeMap(t *testing.T, rec *httptest.ResponseRecorder) map[string]any {
-	t.Helper()
-	var m map[string]any
-	if err := json.NewDecoder(rec.Body).Decode(&m); err != nil {
-		t.Fatalf("decode %q: %v", rec.Body.String(), err)
-	}
-	return m
 }
 
 // TestBatchQueriesForm posts the v1 queries list with mixed methods
 // and parameters and checks per-entry results match single-shot
-// serving; the deprecated groups form must stay equivalent to uniform
-// queries.
+// serving.
 func TestBatchQueriesForm(t *testing.T) {
 	srv, sys := newTestServer(t)
 	seed(t, sys)
@@ -355,29 +290,6 @@ func TestBatchQueriesForm(t *testing.T) {
 	}))
 	if !reflect.DeepEqual(resp.Results[1].Items, single.Items) {
 		t.Errorf("batch brute items %v != single-shot %v", resp.Results[1].Items, single.Items)
-	}
-
-	// groups+z form ≡ uniform queries form
-	legacy := decode[BatchGroupsResponse](t, do(t, srv, "POST", "/v1/groups/recommend:batch", BatchGroupsBody{
-		Groups: [][]string{{"g1", "g2"}, {"g2", "p1"}}, Z: 2,
-	}))
-	uniform := decode[BatchGroupsResponse](t, do(t, srv, "POST", "/v1/groups/recommend:batch", BatchGroupsBody{
-		Queries: []GroupQueryBody{
-			{Members: []string{"g1", "g2"}, Z: 2},
-			{Members: []string{"g2", "p1"}, Z: 2},
-		},
-	}))
-	if !reflect.DeepEqual(legacy, uniform) {
-		t.Errorf("groups form %+v != queries form %+v", legacy, uniform)
-	}
-
-	// both forms at once is a client bug
-	rec = do(t, srv, "POST", "/v1/groups/recommend:batch", BatchGroupsBody{
-		Queries: []GroupQueryBody{{Members: []string{"g1"}}},
-		Groups:  [][]string{{"g1"}},
-	})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("both forms status = %d, want 400", rec.Code)
 	}
 
 	// a malformed query fails the whole batch up front with its index

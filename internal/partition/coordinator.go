@@ -61,8 +61,8 @@ type node struct {
 	// assembles counts per-member relevance assemblies routed here —
 	// the coordinator's fan-out units.
 	assembles atomic.Uint64
-	// routedQueries counts whole queries delegated here (the mapreduce
-	// method runs entirely on the first member's owner).
+	// routedQueries counts single-user reads routed here (personal
+	// recommendations, peer and personalized-search lookups).
 	routedQueries atomic.Uint64
 	// ownedWrites counts WAL records whose subject user this partition
 	// owned at apply time.
@@ -509,9 +509,8 @@ type Stats struct {
 	// Assembles counts per-member relevance assemblies fanned out to
 	// this partition by group queries.
 	Assembles uint64 `json:"fan_outs"`
-	// RoutedQueries counts whole queries delegated here (mapreduce
-	// serving, personal recommendations, peer and personalized-search
-	// lookups).
+	// RoutedQueries counts single-user reads routed here (personal
+	// recommendations, peer and personalized-search lookups).
 	RoutedQueries uint64 `json:"routed_queries"`
 	// OwnedWrites counts WAL records whose subject user this partition
 	// owned at commit time.
@@ -749,15 +748,6 @@ func (c *Coordinator) serve(ctx context.Context, q fairhealth.GroupQuery, assemb
 			return nil, fmt.Errorf("%w: %s", fairhealth.ErrUnknownPatient, u)
 		}
 		owners[u] = ownerRef{nd: nd, sys: sys}
-	}
-
-	if nq.Method == fairhealth.MethodMapReduce {
-		// The §IV pipeline runs over raw triples in one pass — route
-		// the whole query to the first member's owner rather than
-		// splitting a three-job pipeline across partitions.
-		ref := owners[g[0]]
-		ref.nd.routedQueries.Add(1)
-		return ref.sys.Serve(ctx, q)
 	}
 
 	aggr, aerr := group.ParseAggregator(nq.Aggregation)

@@ -590,14 +590,14 @@ func (n *Networked) ProfileCorrespondences(a, b string) ([]fairhealth.Correspond
 // Recommend returns the user's personal top-k, computed on the owning
 // peer.
 func (n *Networked) Recommend(user string, k int) ([]fairhealth.Recommendation, error) {
-	return routeUser(n, nil, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.Recommendation, error) {
+	return routeUser(n, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.Recommendation, error) {
 		return c.Recommend(ctx, user, k)
 	})
 }
 
 // Peers returns the user's peer set, computed on the owning peer.
 func (n *Networked) Peers(user string) ([]fairhealth.Peer, error) {
-	return routeUser(n, nil, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.Peer, error) {
+	return routeUser(n, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.Peer, error) {
 		return c.PeersOf(ctx, user)
 	})
 }
@@ -605,17 +605,16 @@ func (n *Networked) Peers(user string) ([]fairhealth.Peer, error) {
 // SearchPersonalized searches with the user's profile boost, on the
 // owning peer.
 func (n *Networked) SearchPersonalized(user, query string, k int, boost float64) ([]fairhealth.SearchResult, error) {
-	return routeUser(n, nil, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.SearchResult, error) {
+	return routeUser(n, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.SearchResult, error) {
 		return c.SearchPersonalized(ctx, user, query, k, boost)
 	})
 }
 
-// routeUser runs one user-scoped call on the user's live owner,
-// rerouting past peers that fail at the transport level (application
-// errors return immediately — every replica would answer the same). A
-// nil ctx gets the CallTimeout bound per attempt; a caller context is
-// respected as-is, and its expiry stops rerouting.
-func routeUser[T any](n *Networked, ctx context.Context, user string, call func(context.Context, *transport.Client) (T, error)) (T, error) {
+// routeUser runs one user-scoped call on the user's live owner, each
+// attempt bounded by CallTimeout, rerouting past peers that fail at the
+// transport level (application errors return immediately — every
+// replica would answer the same).
+func routeUser[T any](n *Networked, user string, call func(context.Context, *transport.Client) (T, error)) (T, error) {
 	var zero T
 	for attempt := 0; attempt <= len(n.peers); attempt++ {
 		part, ok := n.ring.OwnerLive(user, n.peerLive)
@@ -624,17 +623,14 @@ func routeUser[T any](n *Networked, ctx context.Context, user string, call func(
 		}
 		p := n.peers[part]
 		p.routedQueries.Add(1)
-		cctx, cancel := ctx, context.CancelFunc(func() {})
-		if cctx == nil {
-			cctx, cancel = context.WithTimeout(context.Background(), n.opt.CallTimeout)
-		}
-		out, err := call(cctx, p.client)
+		ctx, cancel := context.WithTimeout(context.Background(), n.opt.CallTimeout)
+		out, err := call(ctx, p.client)
 		cancel()
 		if err == nil {
 			return out, nil
 		}
 		var we *transport.WireError
-		if errors.As(err, &we) || (ctx != nil && ctx.Err() != nil) {
+		if errors.As(err, &we) {
 			return zero, err
 		}
 		n.markDown(p, err)
@@ -671,15 +667,6 @@ func (n *Networked) serve(ctx context.Context, q fairhealth.GroupQuery) (*fairhe
 		if !n.local.KnownUser(string(u)) {
 			return nil, fmt.Errorf("%w: %s", fairhealth.ErrUnknownPatient, u)
 		}
-	}
-
-	if nq.Method == fairhealth.MethodMapReduce {
-		// The §IV pipeline runs over raw triples in one pass — route
-		// the whole query to the first member's owner rather than
-		// splitting a three-job pipeline across peers.
-		return routeUser(n, ctx, string(g[0]), func(rctx context.Context, c *transport.Client) (*fairhealth.GroupResult, error) {
-			return c.ServeQuery(rctx, q)
-		})
 	}
 
 	aggr, aerr := group.ParseAggregator(nq.Aggregation)

@@ -105,10 +105,11 @@ func TestServeBitIdenticalToSingleSystem(t *testing.T) {
 			)
 		}
 	}
-	// The §IV pipeline serves only user-cf with the paper's avg|min.
+	// mapreduce is not a serving method: these legs pin that the router
+	// rejects it exactly as the System does.
 	combos = append(combos,
-		combo{"user-cf", fairhealth.MethodMapReduce, "avg"},
-		combo{"user-cf", fairhealth.MethodMapReduce, "min"},
+		combo{"user-cf", "mapreduce", "avg"},
+		combo{"user-cf", "mapreduce", "min"},
 	)
 
 	ctx := context.Background()
@@ -138,6 +139,13 @@ func TestServeBitIdenticalToSingleSystem(t *testing.T) {
 			}
 			check(t, "cold", q)
 			check(t, "warm", q) // second serve answers from warm caches
+			if cb.method == "mapreduce" {
+				for n, coord := range coords {
+					if _, err := coord.Serve(ctx, q); !errors.Is(err, fairhealth.ErrBadQuery) {
+						t.Errorf("partitions=%d mapreduce: err = %v, want ErrBadQuery", n, err)
+					}
+				}
+			}
 		})
 	}
 
@@ -191,7 +199,7 @@ func TestServeErrorsMatchSingleSystem(t *testing.T) {
 		{Members: nil, Z: 4},
 		{Members: []string{users[0]}, Z: -1},
 		{Members: []string{users[0]}, Method: "warp"},
-		{Members: []string{users[0]}, Method: fairhealth.MethodMapReduce, Scorer: "item-cf"},
+		{Members: []string{users[0]}, Method: "mapreduce", Scorer: "item-cf"},
 		{Members: []string{users[0]}, Approx: true}, // no candidate index configured
 	}
 	for i, q := range cases {
@@ -230,7 +238,6 @@ func TestBatchAndStreamMatchSingleSystem(t *testing.T) {
 		{Members: []string{users[1], "ghost"}, Z: 3},
 		{Members: []string{users[3], users[11], users[19]}, Z: 5, Method: fairhealth.MethodBrute, BruteM: 8},
 		{Members: []string{users[4], users[6]}, Z: 4, Scorer: "profile"},
-		{Members: []string{users[8], users[9]}, Z: 4, Method: fairhealth.MethodMapReduce},
 	}
 	ctx := context.Background()
 	want, werr := single.ServeBatch(ctx, queries)

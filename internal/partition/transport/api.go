@@ -95,24 +95,6 @@ func (c *Client) Relevances(ctx context.Context, scorer string, approx bool, mem
 	return readRelevancesResp(resp, out)
 }
 
-// ServeQuery routes a whole group query to the peer (the mapreduce
-// pipeline runs on one owner rather than splitting across peers).
-func (c *Client) ServeQuery(ctx context.Context, q fairhealth.GroupQuery) (*fairhealth.GroupResult, error) {
-	body, err := json.Marshal(q)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.Call(ctx, opServe, body)
-	if err != nil {
-		return nil, err
-	}
-	var out fairhealth.GroupResult
-	if err := json.Unmarshal(resp, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Recommend fetches the user's personal top-k from the peer.
 func (c *Client) Recommend(ctx context.Context, user string, k int) ([]fairhealth.Recommendation, error) {
 	return userOp[[]fairhealth.Recommendation](ctx, c, userOpRecommend, user, "", k, 0)

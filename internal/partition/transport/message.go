@@ -2,9 +2,9 @@
 // (Relevances requests and replies, Apply records, Catchup blocks) is
 // hand-framed — counted strings, uvarints, and math.Float64bits — so
 // no reflection runs per call and encoders append into pooled scratch.
-// Control-plane payloads (routed queries, user-level reads) are JSON:
-// rare, structurally rich, and exact for float64 under Go's
-// shortest-representation round-trip.
+// Control-plane replies (user-level reads) are JSON: rare, structurally
+// rich, and exact for float64 under Go's shortest-representation
+// round-trip.
 package transport
 
 import (

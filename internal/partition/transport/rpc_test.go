@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -62,10 +63,6 @@ func (f *fakeBackend) MemberRelevances(scorer, user string, approx bool) (map[mo
 		return nil, fmt.Errorf("%w: %s", fairhealth.ErrUnknownPatient, user)
 	}
 	return m, nil
-}
-
-func (f *fakeBackend) Serve(ctx context.Context, q fairhealth.GroupQuery) (*fairhealth.GroupResult, error) {
-	return &fairhealth.GroupResult{Items: []fairhealth.Recommendation{{Item: q.Scorer, Score: 1}}}, nil
 }
 
 func (f *fakeBackend) Recommend(user string, k int) ([]fairhealth.Recommendation, error) {
@@ -361,20 +358,67 @@ func TestClientClosed(t *testing.T) {
 	}
 }
 
-// ServeQuery and the user-level reads ride JSON but share the framed
-// transport; spot-check the round-trip.
+// The user-level reads reply in JSON but share the framed transport;
+// spot-check the round-trip.
 func TestRoutedOps(t *testing.T) {
 	fb := &fakeBackend{}
 	cl := startServer(t, fb, "fp", ClientOptions{})
-	ctx := context.Background()
-
-	res, err := cl.ServeQuery(ctx, fairhealth.GroupQuery{Scorer: "user-cf"})
-	if err != nil || len(res.Items) != 1 || res.Items[0].Item != "user-cf" {
-		t.Fatalf("serve query: %+v, %v", res, err)
-	}
-	recs, err := cl.Recommend(ctx, "u1", 5)
+	recs, err := cl.Recommend(context.Background(), "u1", 5)
 	if err != nil || len(recs) != 1 || recs[0].Item != "d1" {
 		t.Fatalf("recommend: %+v, %v", recs, err)
+	}
+}
+
+// A raw frame carrying the retired opcode 6 gets the unknown-opcode
+// error reply, and the same connection then answers a Relevances
+// request: a stale or hostile peer cannot wedge the port.
+func TestRetiredOpcodeRejected(t *testing.T) {
+	fb := &fakeBackend{relevances: map[string]map[model.ItemID]float64{"u1": {"d1": 0.5}}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(fb, "fp")
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
+	roundTrip := func(reqID uint64, op byte, payload []byte) frame {
+		t.Helper()
+		if err := writeFrame(bw, reqID, kindRequest, op, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := readFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.kind != kindResponse || f.reqID != reqID {
+			t.Fatalf("reply kind=%d reqID=%d, want a response to %d", f.kind, f.reqID, reqID)
+		}
+		return f
+	}
+
+	f := roundTrip(1, 6, []byte(`{"Members":["u1"],"Method":"mapreduce"}`))
+	if f.op == statusOK || string(f.payload) != "transport: unknown opcode 6" {
+		t.Fatalf("retired opcode reply: status=%d payload=%q", f.op, f.payload)
+	}
+	f = roundTrip(2, opRelevances, appendRelevancesReq(nil, "user-cf", false, []model.UserID{"u1"}))
+	if f.op != statusOK {
+		t.Fatalf("relevances after a retired opcode: status=%d payload=%q", f.op, f.payload)
+	}
+	out := make([]map[model.ItemID]float64, 1)
+	if err := readRelevancesResp(f.payload, out); err != nil || out[0]["d1"] != 0.5 {
+		t.Fatalf("relevances after a retired opcode: %v, %v", out, err)
 	}
 }
 

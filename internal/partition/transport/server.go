@@ -27,14 +27,11 @@ import (
 // Backend is what a worker serves over the wire — satisfied by
 // *fairhealth.System. MemberRelevances is the coalesced fan-out's
 // unit of work; ApplyRecord and AddDocument are the replication
-// write path; Serve handles whole routed queries (the mapreduce
-// pipeline runs on one owner, not split across peers); the rest are
-// user-level reads routed to their owner.
+// write path; the rest are user-level reads routed to their owner.
 type Backend interface {
 	ApplyRecord(rec wal.Record) error
 	AddDocument(id, title, body string) error
 	MemberRelevances(scorer, user string, approx bool) (map[model.ItemID]float64, error)
-	Serve(ctx context.Context, q fairhealth.GroupQuery) (*fairhealth.GroupResult, error)
 	Recommend(user string, k int) ([]fairhealth.Recommendation, error)
 	Peers(user string) ([]fairhealth.Peer, error)
 	SearchPersonalized(user, query string, k int, boost float64) ([]fairhealth.SearchResult, error)
@@ -301,18 +298,6 @@ func (sc *serverConn) dispatch(ctx context.Context, f frame) ([]byte, func(), er
 		buf := getBuf()
 		*buf = appendRelevancesResp(*buf, maps)
 		return *buf, func() { putBuf(buf) }, nil
-
-	case opServe:
-		var q fairhealth.GroupQuery
-		if err := json.Unmarshal(f.payload, &q); err != nil {
-			return nil, nil, err
-		}
-		res, err := s.backend.Serve(ctx, q)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := json.Marshal(res)
-		return out, nil, err
 
 	case opUserOp:
 		kind, user, query, k, boost, err := readUserOpReq(f.payload)

@@ -9,10 +9,9 @@
 // raw IEEE-754 bit patterns (math.Float64bits) through pooled scratch
 // buffers. Shipping the exact bits is what keeps networked answers
 // bit-identical to an unpartitioned System; a decimal detour is never
-// taken on the hot path. Control-plane payloads (whole routed queries,
-// user-level reads) ride encoding/json — they are rare and their
-// float64 values survive Go's shortest-representation round-trip
-// exactly.
+// taken on the hot path. Control-plane replies (user-level reads) ride
+// encoding/json — they are rare and their float64 values survive Go's
+// shortest-representation round-trip exactly.
 //
 // Frame layout, both directions:
 //
@@ -55,8 +54,7 @@ const (
 	opCatchup    byte = 3 // compressed WAL record block (rejoin bootstrap)
 	opDocument   byte = 4 // corpus document (not WAL-journaled)
 	opRelevances byte = 5 // coalesced member batch → per-member score maps
-	opServe      byte = 6 // whole routed GroupQuery (mapreduce pipeline)
-	opUserOp     byte = 7 // user-level reads: recommend | peers | search
+	opUserOp     byte = 7 // user-level reads: recommend | peers | search (6 is retired: never reuse it)
 )
 
 // Response status codes. 0 is success; everything else maps a

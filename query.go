@@ -2,11 +2,12 @@ package fairhealth
 
 // The unified request contract. Every group recommendation — library
 // call, CLI invocation, or HTTP request — is a GroupQuery served by
-// System.Serve; the legacy positional-argument methods are thin
-// wrappers that build a query and delegate. One typed object means new
-// knobs (per-query aggregation, brute-force bounds, explain output)
-// extend a struct instead of widening a positional-argument matrix,
-// and a batch can mix methods and parameters freely.
+// System.Serve (one query) or ServeBatch/ServeStream (many). One typed
+// object means new knobs (per-query aggregation, brute-force bounds,
+// explain output) extend a struct instead of widening a
+// positional-argument matrix, and a batch can mix methods and
+// parameters freely. The paper's §IV MapReduce pipeline is not a
+// serving method: it lives in internal/mrpipeline behind `fairrec mr`.
 
 import (
 	"context"
@@ -18,7 +19,6 @@ import (
 	"fairhealth/internal/core"
 	"fairhealth/internal/group"
 	"fairhealth/internal/model"
-	"fairhealth/internal/mrpipeline"
 	"fairhealth/internal/pool"
 	"fairhealth/internal/scoring"
 )
@@ -44,9 +44,6 @@ const (
 	// MethodBrute is the exponential §III.D baseline over the top
 	// BruteM candidates.
 	MethodBrute Method = "brute"
-	// MethodMapReduce runs the §IV three-job pipeline plus centralized
-	// Algorithm 1. Supports only the paper's avg|min aggregations.
-	MethodMapReduce Method = "mapreduce"
 )
 
 // GroupQuery is the single typed request served by System.Serve. The
@@ -62,7 +59,7 @@ type GroupQuery struct {
 	// Z is the number of recommendations to select (top-z). Zero means
 	// DefaultZ; negative is invalid.
 	Z int
-	// Method picks the solver: greedy (default), brute, or mapreduce.
+	// Method picks the solver: greedy (default) or brute.
 	Method Method
 	// BruteM restricts the brute-force enumeration to the top-m group
 	// candidates (C(m,z) subsets are scored). ≤ 0 enumerates over all
@@ -74,16 +71,13 @@ type GroupQuery struct {
 	BruteMaxCombos int64
 	// Aggregation overrides the Def. 2 semantics for this query: "avg"
 	// (majority), "min" (veto), or the extensions "max", "median",
-	// "consensus". Empty uses the System's configured aggregation. The
-	// mapreduce method supports only avg and min.
+	// "consensus". Empty uses the System's configured aggregation.
 	Aggregation string
 	// Scorer selects the relevance backend assembling the per-member
 	// candidate scores: "user-cf" (the paper's §III.A model, the
 	// default), "item-cf" (item-based CF), "profile" (peers by
 	// profile-cosine), or any in-tree backend registered with
 	// internal/scoring. Empty uses the System's configured default.
-	// The mapreduce method supports only user-cf — the §IV pipeline
-	// IS the user-based model as map/reduce jobs.
 	Scorer string
 	// K overrides the size of each member's personal top-k list A_u
 	// (fairness Def. 3) for this query. Zero uses the System's
@@ -96,11 +90,9 @@ type GroupQuery struct {
 	// Approx restricts peer discovery to the candidate index's cluster
 	// neighborhood (the query user's cluster plus its nearest
 	// neighbors) instead of the exact candidate universe, trading
-	// recall for throughput. Requires Config.CandidateIndex; rejected
-	// for the mapreduce method (the §IV pipeline scores raw triples,
-	// not indexed peers). Scorers without peer scans (item-cf) ignore
-	// it. Default off: exact mode, bit-identical with the index on or
-	// off.
+	// recall for throughput. Requires Config.CandidateIndex. Scorers
+	// without peer scans (item-cf) ignore it. Default off: exact mode,
+	// bit-identical with the index on or off.
 	Approx bool
 }
 
@@ -120,22 +112,9 @@ func (q GroupQuery) Validate() error {
 	}
 	switch q.Method {
 	case "", MethodGreedy, MethodBrute:
-	case MethodMapReduce:
-		if q.Approx {
-			return fmt.Errorf("%w: mapreduce does not support approx peer search", ErrBadQuery)
-		}
-		switch q.Aggregation {
-		case "", "avg", "min":
-		default:
-			return fmt.Errorf("%w: mapreduce supports avg|min aggregation, not %q", ErrBadQuery, q.Aggregation)
-		}
-		if q.Scorer != "" && q.Scorer != scoring.DefaultName {
-			return fmt.Errorf("%w: mapreduce supports only the %s scorer, not %q",
-				ErrBadQuery, scoring.DefaultName, q.Scorer)
-		}
 	default:
-		return fmt.Errorf("%w: unknown method %q (want %s|%s|%s)",
-			ErrBadQuery, q.Method, MethodGreedy, MethodBrute, MethodMapReduce)
+		return fmt.Errorf("%w: unknown method %q (want %s|%s)",
+			ErrBadQuery, q.Method, MethodGreedy, MethodBrute)
 	}
 	if q.Aggregation != "" {
 		if _, err := group.ParseAggregator(q.Aggregation); err != nil {
@@ -176,17 +155,9 @@ func (q GroupQuery) normalize(cfg Config) (GroupQuery, error) {
 	}
 	if q.Aggregation == "" {
 		q.Aggregation = cfg.Aggregation
-		if q.Method == MethodMapReduce && q.Aggregation != "avg" && q.Aggregation != "min" {
-			return q, fmt.Errorf("%w: mapreduce supports avg|min aggregation, not the configured %q",
-				ErrBadQuery, q.Aggregation)
-		}
 	}
 	if q.Scorer == "" {
 		q.Scorer = cfg.Scorer
-		if q.Method == MethodMapReduce && q.Scorer != scoring.DefaultName {
-			return q, fmt.Errorf("%w: mapreduce supports only the %s scorer, not the configured %q",
-				ErrBadQuery, scoring.DefaultName, q.Scorer)
-		}
 	}
 	if q.Approx && !cfg.CandidateIndex {
 		return q, fmt.Errorf("%w: approx peer search requires Config.CandidateIndex", ErrBadQuery)
@@ -242,47 +213,29 @@ func (s *System) serve(ctx context.Context, q GroupQuery, assemblyWorkers int) (
 		}
 	}
 
-	var in core.Input
+	aggr, err := group.ParseAggregator(nq.Aggregation)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err) // unreachable: normalize validated
+	}
+	gin, err := s.groupProblem(ctx, nq.Scorer, g, aggr, nq.K, assemblyWorkers, nq.Approx)
+	if err != nil {
+		return nil, err
+	}
+	in := gin.coreInput()
 	var res core.Result
 	switch nq.Method {
-	case MethodMapReduce:
-		out, err := mrpipeline.Run(ctx, s.ratings.Triples(), mrpipeline.Config{
-			Group:      g,
-			Delta:      s.cfg.Delta,
-			MinOverlap: s.cfg.MinOverlap,
-			K:          nq.K,
-			Z:          nq.Z,
-			Aggregator: nq.Aggregation,
-		})
-		if err != nil {
-			return nil, err
+	case MethodBrute:
+		if nq.BruteM > 0 {
+			// TopCandidates returns a fresh map, so restricting the pool
+			// never mutates the memoized input.
+			in.GroupRel = core.TopCandidates(in.GroupRel, nq.BruteM)
 		}
-		in = core.Input{Group: g, Lists: out.Lists, GroupRel: out.GroupRel}
-		res = out.Fair
-	default:
-		aggr, aerr := group.ParseAggregator(nq.Aggregation)
-		if aerr != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, aerr) // unreachable: normalize validated
-		}
-		gin, perr := s.groupProblem(ctx, nq.Scorer, g, aggr, nq.K, assemblyWorkers, nq.Approx)
-		if perr != nil {
-			return nil, perr
-		}
-		in = gin.coreInput()
-		switch nq.Method {
-		case MethodBrute:
-			if nq.BruteM > 0 {
-				// TopCandidates returns a fresh map, so restricting the
-				// pool never mutates the memoized input.
-				in.GroupRel = core.TopCandidates(in.GroupRel, nq.BruteM)
-			}
-			res, err = core.BruteForce(in, nq.Z, nq.BruteMaxCombos)
-		default: // MethodGreedy
-			res, err = core.GreedyContext(ctx, in, nq.Z)
-		}
-		if err != nil {
-			return nil, err
-		}
+		res, err = core.BruteForce(in, nq.Z, nq.BruteMaxCombos)
+	default: // MethodGreedy
+		res, err = core.GreedyContext(ctx, in, nq.Z)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return s.toGroupResult(in, res, nq.Explain), nil
 }
@@ -385,56 +338,4 @@ func (s *System) ServeStream(ctx context.Context, queries []GroupQuery, fn func(
 		return fnErr
 	}
 	return ctx.Err()
-}
-
-// ---------------------------------------------------------------------------
-// legacy wrappers — every historical entry point delegates to Serve
-
-// GroupRecommend runs the paper's Algorithm 1: the fairness-aware
-// top-z recommendations for the group. It is shorthand for Serve with
-// the greedy method and Explain set.
-func (s *System) GroupRecommend(users []string, z int) (*GroupResult, error) {
-	return s.Serve(context.Background(), GroupQuery{Members: users, Z: z, Method: MethodGreedy, Explain: true})
-}
-
-// GroupRecommendBruteForce runs the exponential baseline of §III.D
-// over the top-m candidates (m ≤ 0 means all candidates; use small m —
-// the cost is C(m,z)). Shorthand for Serve with the brute method.
-func (s *System) GroupRecommendBruteForce(users []string, z, m int, maxCombos int64) (*GroupResult, error) {
-	return s.Serve(context.Background(), GroupQuery{
-		Members: users, Z: z, Method: MethodBrute,
-		BruteM: m, BruteMaxCombos: maxCombos, Explain: true,
-	})
-}
-
-// GroupRecommendMapReduce executes the §IV MapReduce pipeline (three
-// jobs + centralized Algorithm 1) instead of the in-memory path.
-// Shorthand for Serve with the mapreduce method; only the paper's
-// min/avg aggregations are supported, matching the paper's pipeline.
-func (s *System) GroupRecommendMapReduce(ctx context.Context, users []string, z int) (*GroupResult, error) {
-	return s.Serve(ctx, GroupQuery{Members: users, Z: z, Method: MethodMapReduce, Explain: true})
-}
-
-// queriesFromGroups adapts the legacy ([][]string, z) batch shape into
-// uniform greedy queries.
-func queriesFromGroups(groups [][]string, z int) []GroupQuery {
-	queries := make([]GroupQuery, len(groups))
-	for k, g := range groups {
-		queries[k] = GroupQuery{Members: g, Z: z, Method: MethodGreedy, Explain: true}
-	}
-	return queries
-}
-
-// GroupRecommendBatch answers many uniform greedy group requests in
-// one call. Shorthand for ServeBatch over identical per-group queries;
-// use ServeBatch directly to mix methods or parameters per group.
-func (s *System) GroupRecommendBatch(ctx context.Context, groups [][]string, z int) ([]BatchGroupResult, error) {
-	return s.ServeBatch(ctx, queriesFromGroups(groups, z))
-}
-
-// GroupRecommendStream is GroupRecommendBatch's incremental variant:
-// entries are yielded to fn as each group completes. Shorthand for
-// ServeStream over identical per-group queries.
-func (s *System) GroupRecommendStream(ctx context.Context, groups [][]string, z int, fn func(BatchGroupResult) error) error {
-	return s.ServeStream(ctx, queriesFromGroups(groups, z), fn)
 }

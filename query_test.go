@@ -22,8 +22,6 @@ func TestGroupQueryValidate(t *testing.T) {
 		{"explicit greedy", GroupQuery{Method: MethodGreedy}, true},
 		{"brute with bounds", GroupQuery{Method: MethodBrute, BruteM: 20, BruteMaxCombos: 1000}, true},
 		{"brute all candidates", GroupQuery{Method: MethodBrute, BruteM: -1}, true},
-		{"mapreduce avg", GroupQuery{Method: MethodMapReduce, Aggregation: "avg"}, true},
-		{"mapreduce min", GroupQuery{Method: MethodMapReduce, Aggregation: "min"}, true},
 		{"consensus aggregation", GroupQuery{Aggregation: "consensus"}, true},
 		{"explain", GroupQuery{Explain: true}, true},
 		{"negative z", GroupQuery{Z: -1}, false},
@@ -31,8 +29,8 @@ func TestGroupQueryValidate(t *testing.T) {
 		{"negative combos", GroupQuery{Method: MethodBrute, BruteMaxCombos: -5}, false},
 		{"unknown method", GroupQuery{Method: "oracle"}, false},
 		{"unknown aggregation", GroupQuery{Aggregation: "plurality"}, false},
-		{"mapreduce consensus", GroupQuery{Method: MethodMapReduce, Aggregation: "consensus"}, false},
-		{"mapreduce median", GroupQuery{Method: MethodMapReduce, Aggregation: "median"}, false},
+		{"mapreduce avg", GroupQuery{Method: "mapreduce", Aggregation: "avg"}, false},
+		{"mapreduce consensus", GroupQuery{Method: "mapreduce", Aggregation: "consensus"}, false},
 	}
 	for _, c := range cases {
 		err := c.q.Validate()
@@ -49,51 +47,19 @@ func TestGroupQueryValidate(t *testing.T) {
 	}
 }
 
-// TestServeMatchesLegacyWrappers asserts the acceptance criterion:
-// every legacy entry point is a thin delegation to Serve, so both
-// sides of each pair return identical results.
-func TestServeMatchesLegacyWrappers(t *testing.T) {
-	sys, groups := batchSystem(t, 2)
-	ctx := context.Background()
-	g := groups[0]
+// greedyQuery is the paper's Algorithm 1 request for members, with the
+// per-member evidence.
+func greedyQuery(members []string, z int) GroupQuery {
+	return GroupQuery{Members: members, Z: z, Method: MethodGreedy, Explain: true}
+}
 
-	legacyGreedy, err := sys.GroupRecommend(g, 6)
-	if err != nil {
-		t.Fatal(err)
+// greedyQueries is greedyQuery for every group.
+func greedyQueries(groups [][]string, z int) []GroupQuery {
+	queries := make([]GroupQuery, len(groups))
+	for k, g := range groups {
+		queries[k] = greedyQuery(g, z)
 	}
-	servedGreedy, err := sys.Serve(ctx, GroupQuery{Members: g, Z: 6, Explain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyGreedy, servedGreedy) {
-		t.Errorf("greedy: wrapper %+v != Serve %+v", legacyGreedy, servedGreedy)
-	}
-
-	legacyBrute, err := sys.GroupRecommendBruteForce(g, 3, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	servedBrute, err := sys.Serve(ctx, GroupQuery{
-		Members: g, Z: 3, Method: MethodBrute, BruteM: 10, Explain: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyBrute, servedBrute) {
-		t.Errorf("brute: wrapper %+v != Serve %+v", legacyBrute, servedBrute)
-	}
-
-	legacyMR, err := sys.GroupRecommendMapReduce(ctx, g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	servedMR, err := sys.Serve(ctx, GroupQuery{Members: g, Z: 4, Method: MethodMapReduce, Explain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyMR, servedMR) {
-		t.Errorf("mapreduce: wrapper %+v != Serve %+v", legacyMR, servedMR)
-	}
+	return queries
 }
 
 func TestServeExplainControlsPerMember(t *testing.T) {
@@ -150,7 +116,7 @@ func TestServePerQueryOverrides(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := minSys.GroupRecommend(g, 6)
+	want, err := minSys.Serve(context.Background(), greedyQuery(g, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +153,6 @@ func TestServeBatchMixedQueries(t *testing.T) {
 		{Members: groups[0], Z: 6},
 		{Members: groups[1], Z: 3, Method: MethodBrute, BruteM: 12},
 		{Members: groups[2], Z: 4, Aggregation: "min"},
-		{Members: groups[0], Z: 2, Method: MethodMapReduce},
 		{Members: nil}, // invalid entry must not poison the batch
 	}
 	batch, err := sys.ServeBatch(context.Background(), queries)
@@ -197,7 +162,7 @@ func TestServeBatchMixedQueries(t *testing.T) {
 	if len(batch) != len(queries) {
 		t.Fatalf("batch has %d entries, want %d", len(batch), len(queries))
 	}
-	for k := 0; k < 4; k++ {
+	for k := 0; k < 3; k++ {
 		if batch[k].Err != nil {
 			t.Fatalf("entry %d: %v", k, batch[k].Err)
 		}
@@ -209,8 +174,8 @@ func TestServeBatchMixedQueries(t *testing.T) {
 			t.Errorf("entry %d: batch %+v != single %+v", k, batch[k].Result, single)
 		}
 	}
-	if !errors.Is(batch[4].Err, ErrEmptyGroup) {
-		t.Errorf("empty entry err = %v, want ErrEmptyGroup", batch[4].Err)
+	if !errors.Is(batch[3].Err, ErrEmptyGroup) {
+		t.Errorf("empty entry err = %v, want ErrEmptyGroup", batch[3].Err)
 	}
 }
 
@@ -222,6 +187,8 @@ func TestServeBatchInvalidQueryIsPerEntry(t *testing.T) {
 		{Members: groups[0], Z: 4},
 		{Members: groups[1], Z: -3},
 		{Members: groups[1], Method: "oracle"},
+		// The §IV pipeline is `fairrec mr`, not a serving method.
+		{Members: groups[1], Method: "mapreduce"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +196,7 @@ func TestServeBatchInvalidQueryIsPerEntry(t *testing.T) {
 	if batch[0].Err != nil {
 		t.Errorf("valid entry failed: %v", batch[0].Err)
 	}
-	for _, k := range []int{1, 2} {
+	for _, k := range []int{1, 2, 3} {
 		if !errors.Is(batch[k].Err, ErrBadQuery) {
 			t.Errorf("entry %d err = %v, want ErrBadQuery", k, batch[k].Err)
 		}
