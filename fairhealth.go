@@ -138,6 +138,9 @@ var (
 	ErrUnknownPatient = errors.New("fairhealth: unknown patient")
 	// ErrEmptyGroup reports an empty or invalid group.
 	ErrEmptyGroup = errors.New("fairhealth: empty group")
+	// ErrTooManyCombinations reports a brute-force query whose subset
+	// count exceeds its limit (GroupQuery.BruteMaxCombos).
+	ErrTooManyCombinations = core.ErrTooManyCombinations
 )
 
 // SimilarityKind selects the §V measure used for peer discovery.
@@ -449,6 +452,10 @@ type System struct {
 	// Profile writes flush it via invalidateAll.
 	groupCache *cache.Cache[string, string, groupInput]
 
+	// pipe serves the System's group queries over localMembers, with
+	// groupCache as its memo.
+	pipe *Pipeline
+
 	// TTL adaptation state (Config.CacheTTLMin/Max): adaptPrev holds
 	// the previous tick's lifetime counters per layer so each
 	// AdaptCacheTTLOnce call advises on a delta window; simTTL carries
@@ -521,6 +528,8 @@ func NewWithOntology(cfg Config, ont *ontology.Ontology) (*System, error) {
 			Cost:       groupInputCost,
 		}),
 	}
+	sys.pipe = NewPipeline(c, localMembers{sys}, 0)
+	sys.pipe.memo = sys.groupCache
 	if c.CandidateIndex {
 		sys.candIdx = candidates.NewRatings(sys.ratings, candidates.Config{K: c.CandidateK, Seed: 1})
 	}
@@ -1447,26 +1456,31 @@ func (s *System) KnownUser(user string) bool {
 
 // MemberRelevances computes one member's candidate relevance scores
 // under the named scorer ("" uses the configured default) — exactly
-// the per-member unit of work scoring.Assemble fans out, exposed so a
-// partition coordinator can route each member's assembly to the
-// partition that owns (and caches for) that user. approx follows the
-// AssembleApprox contract: providers without an approx path answer
+// the per-member unit of work the System's MemberSource gathers,
+// exposed so a partition router can have each member scored on the
+// partition that owns (and caches for) that user. approx follows
+// scoring.RelevancesFunc: providers without an approx path answer
 // through their exact one. Scores are bit-identical to the ones an
-// unpartitioned Serve would assemble.
+// unpartitioned Serve would gather.
 func (s *System) MemberRelevances(scorer, user string, approx bool) (map[model.ItemID]float64, error) {
 	if scorer == "" {
 		scorer = s.cfg.Scorer
 	}
+	rel, err := s.memberRel(scorer, approx)
+	if err != nil {
+		return nil, err
+	}
+	return rel(model.UserID(user))
+}
+
+// memberRel resolves the named scorer's per-member relevance function
+// (scoring.RelevancesFunc).
+func (s *System) memberRel(scorer string, approx bool) (func(model.UserID) (map[model.ItemID]float64, error), error) {
 	prov, err := s.scorerProvider(scorer)
 	if err != nil {
 		return nil, err
 	}
-	if approx {
-		if ap, ok := prov.(scoring.ApproxRelevancer); ok {
-			return ap.RelevancesApprox(model.UserID(user))
-		}
-	}
-	return prov.Relevances(model.UserID(user))
+	return scoring.RelevancesFunc(prov, approx), nil
 }
 
 // Peers returns the user's peer set P_u (Def. 1), best-first. A user
@@ -1577,89 +1591,6 @@ func groupKey(scorer string, g model.Group, aggr string, k int, approx bool) str
 	return b.String()
 }
 
-// groupProblem is the pipeline stage between a query and the fair
-// solvers: resolve the scorer, assemble every member's candidate
-// scores in parallel across at most workers goroutines
-// (scoring.Assemble; batch serving passes 1 because the queries
-// themselves already fan out across the Config.Workers bound — nested
-// pools would oversubscribe it), fold them into group relevance under
-// the query's aggregation, and build the personal top-k lists A_u.
-// Assembled inputs are memoized per (scorer, members, aggregation, K)
-// in the group-input cache; the eviction-sequence fence is captured
-// before any upstream state is read, so a write racing the assembly
-// keeps the result out of the memo (the caller still gets its answer
-// — a read overlapping a write may see either side of it).
-func (s *System) groupProblem(ctx context.Context, scorer string, g model.Group, aggr group.Aggregator, k, workers int, approx bool) (groupInput, error) {
-	key := groupKey(scorer, g, aggr.Name(), k, approx)
-	if in, _, ok := s.groupCache.Get(key); ok {
-		return in, nil
-	}
-	startSeq := s.groupCache.Seq()
-	prov, err := s.scorerProvider(scorer)
-	if err != nil {
-		return groupInput{}, err
-	}
-	assembleFn := scoring.AssembleContext
-	if approx {
-		assembleFn = scoring.AssembleApproxContext
-	}
-	cands, err := assembleFn(ctx, prov, g, workers)
-	if err != nil {
-		if errors.Is(err, scoring.ErrEmptyGroup) {
-			return groupInput{}, ErrEmptyGroup
-		}
-		return groupInput{}, err
-	}
-	groupRel := make(map[model.ItemID]float64, len(cands.Items))
-	for item, scores := range cands.Items {
-		groupRel[item] = aggr.Aggregate(scores)
-	}
-	in := groupInput{
-		group:    g,
-		perUser:  cands.PerUser,
-		groupRel: groupRel,
-		lists:    core.ListsFromRelevances(cands.PerUser, k),
-	}
-	s.groupCache.PutChecked(key, in, []string{groupScopeRatings}, startSeq)
-	return in, nil
-}
-
-// coreInput adapts a memoized group problem to the solvers' contract.
-func (in groupInput) coreInput() core.Input {
-	perUser := in.perUser
-	return core.Input{
-		Group:    in.group,
-		Lists:    in.lists,
-		GroupRel: in.groupRel,
-		Rel: func(u model.UserID, i model.ItemID) (float64, bool) {
-			sc, ok := perUser[u][i]
-			return sc, ok
-		},
-	}
-}
-
-// toGroupResult shapes a solver outcome. The per-member evidence maps
-// are built only when explain is set — they are |G|×K conversions the
-// default serving path never reads.
-func (s *System) toGroupResult(in core.Input, res core.Result, explain bool) *GroupResult {
-	out := &GroupResult{
-		Items:        make([]Recommendation, len(res.Items)),
-		Fairness:     res.Fairness,
-		Value:        res.Value,
-		Combinations: res.Combinations,
-	}
-	for k, item := range res.Items {
-		out.Items[k] = Recommendation{Item: string(item), Score: in.GroupRel[item]}
-	}
-	if explain {
-		out.PerMember = make(map[string][]Recommendation, len(in.Group))
-		for u, list := range in.Lists {
-			out.PerMember[string(u)] = toRecs(list)
-		}
-	}
-	return out
-}
-
 // GroupTopZ returns the plain (fairness-agnostic) top-z group list —
 // the §III.B baseline that Algorithm 1 improves on. z follows the
 // shared query rule: 0 means DefaultZ, negative is ErrBadQuery.
@@ -1674,7 +1605,7 @@ func (s *System) GroupTopZ(users []string, z int) ([]Recommendation, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := s.groupProblem(context.Background(), s.cfg.Scorer, g, s.aggregator(), s.cfg.K, s.workers(), false)
+	in, err := s.pipe.problem(context.Background(), s.cfg.Scorer, g, s.aggregator(), s.cfg.K, s.workers(), false)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"net/http"
 
 	"fairhealth"
-	"fairhealth/internal/core"
 	"fairhealth/internal/model"
 	"fairhealth/internal/phr"
 	"fairhealth/internal/ratings"
@@ -113,7 +112,7 @@ func classify(err error) string {
 	case errors.Is(err, fairhealth.ErrEmptyGroup):
 		return CodeEmptyGroup
 	case errors.Is(err, fairhealth.ErrBadQuery), errors.Is(err, fairhealth.ErrBadConfig),
-		errors.Is(err, core.ErrTooManyCombinations):
+		errors.Is(err, fairhealth.ErrTooManyCombinations):
 		// ErrTooManyCombinations is client-induced: the requested brute
 		// m/z combination exceeds the enumeration cap.
 		return CodeInvalidQuery

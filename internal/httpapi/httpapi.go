@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -69,8 +70,10 @@ import (
 
 // Backend is the serving surface the HTTP layer runs against — exactly
 // the methods the handlers call. *fairhealth.System implements it, and
-// so does *partition.Coordinator, so one Server binary serves either an
-// unpartitioned system or a partitioned deployment unchanged.
+// so do *partition.Coordinator and *partition.Networked (all three
+// serve groups through one fairhealth.Pipeline), so one Server binary
+// serves an unpartitioned system or either partitioned deployment
+// unchanged.
 type Backend interface {
 	Stats() fairhealth.Stats
 	CacheStats() fairhealth.CacheStats
@@ -113,8 +116,8 @@ var (
 	_ transportStatser = (*partition.Networked)(nil)
 )
 
-// Server wires a Backend (a fairhealth.System or a partition
-// Coordinator) to an http.Handler.
+// Server wires a Backend (a fairhealth.System or a partition router)
+// to an http.Handler.
 type Server struct {
 	sys     Backend
 	mux     *http.ServeMux
@@ -673,9 +676,11 @@ func (s *Server) handleGroupBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// r.Context() cancels when the client disconnects or the request
-	// deadline fires, aborting in-flight queries.
+	// deadline fires, aborting in-flight queries. A batch cut off before
+	// any query produced a result is the request's failure (504 on a
+	// deadline); one cut off later answers 200 with per-entry errors.
 	results, err := s.sys.ServeBatch(r.Context(), queries)
-	if err != nil && results == nil {
+	if err != nil && !slices.ContainsFunc(results, func(br fairhealth.BatchGroupResult) bool { return br.Result != nil }) {
 		s.writeError(w, r, ctxErr(r.Context(), err))
 		return
 	}
@@ -692,15 +697,18 @@ func (s *Server) handleGroupBatch(w http.ResponseWriter, r *http.Request) {
 // streamGroupBatch answers the batch as NDJSON: one
 // BatchGroupEntry per line, written and flushed as each query
 // completes. The 200 and content type go out with the FIRST entry, so
-// a failure preceding any result (e.g. the similarity build) still
-// gets a proper error status; after that, failures can only be
-// reported in-band (per-entry error fields) or by truncating the
-// stream.
+// a failure preceding any result (e.g. the request deadline passing
+// before a query completes) still gets a proper error status; after
+// that, failures can only be reported in-band (per-entry error fields)
+// or by truncating the stream.
 func (s *Server) streamGroupBatch(w http.ResponseWriter, r *http.Request, queries []fairhealth.GroupQuery) {
 	flusher, _ := w.(http.Flusher)
 	started := false
 	err := s.sys.ServeStream(r.Context(), queries, func(e fairhealth.BatchGroupResult) error {
 		if !started {
+			if err := r.Context().Err(); err != nil && e.Result == nil {
+				return err // the request ended before any result: answer its error
+			}
 			started = true
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)

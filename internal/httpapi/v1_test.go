@@ -507,14 +507,25 @@ func TestPerRequestTimeout(t *testing.T) {
 	}
 	seed(t, sys)
 	srv := NewWithOptions(sys, Options{Logger: log.New(io.Discard, "", 0), Timeout: time.Nanosecond})
-	rec := do(t, srv, "POST", "/v1/groups/recommend", GroupQueryBody{
-		Members: []string{"g1", "g2"}, Z: 2,
-	})
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d body=%s, want 504", rec.Code, rec.Body.String())
-	}
-	if e := decode[ErrorBody](t, rec); e.Error.Code != CodeTimeout {
-		t.Errorf("code = %q, want %q", e.Error.Code, CodeTimeout)
+	query := GroupQueryBody{Members: []string{"g1", "g2"}, Z: 2}
+	batch := BatchGroupsBody{Queries: []GroupQueryBody{query, query}}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/groups/recommend", query},
+		// A batch whose deadline passes before any query completes is the
+		// request's failure, in both response forms.
+		{"/v1/groups/recommend:batch", batch},
+		{"/v1/groups/recommend:batch?stream=true", batch},
+	} {
+		rec := do(t, srv, "POST", c.path, c.body)
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status = %d body=%s, want 504", c.path, rec.Code, rec.Body.String())
+		}
+		if e := decode[ErrorBody](t, rec); e.Error.Code != CodeTimeout {
+			t.Errorf("%s: code = %q, want %q", c.path, e.Error.Code, CodeTimeout)
+		}
 	}
 }
 

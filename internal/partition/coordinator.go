@@ -6,16 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"fairhealth"
 	"fairhealth/internal/candidates"
-	"fairhealth/internal/core"
-	"fairhealth/internal/group"
 	"fairhealth/internal/model"
-	"fairhealth/internal/pool"
 	"fairhealth/internal/ratings"
 	"fairhealth/internal/scoring"
 	"fairhealth/internal/wal"
@@ -92,6 +88,8 @@ type Coordinator struct {
 
 	mu    sync.RWMutex // guards nodes' live and sys fields
 	nodes []*node
+
+	pipe *fairhealth.Pipeline // group serving over ownerMembers
 }
 
 // New builds an in-memory partitioned deployment: opt.Partitions (or
@@ -118,12 +116,14 @@ func New(cfg fairhealth.Config, opt Options) (*Coordinator, error) {
 	}
 	eff := nodes[0].sys.Config()
 	eff.Partitions = n
-	return &Coordinator{
+	c := &Coordinator{
 		cfg:     eff,
 		ring:    NewRing(n, opt.VirtualNodes),
 		journal: NewJournal(opt.JournalRetain),
 		nodes:   nodes,
-	}, nil
+	}
+	c.pipe = fairhealth.NewPipeline(eff, ownerMembers{c}, 0)
+	return c, nil
 }
 
 // NewPersistent builds a partitioned deployment whose state survives
@@ -231,13 +231,6 @@ func (c *Coordinator) anyLive() (*fairhealth.System, error) {
 		}
 	}
 	return nil, ErrNoLivePartitions
-}
-
-func (c *Coordinator) workers() int {
-	if c.cfg.Workers > 0 {
-		return c.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -713,241 +706,48 @@ func (c *Coordinator) node(i int) (*node, error) {
 }
 
 // ---------------------------------------------------------------------------
-// serving: the full Serve/ServeBatch/ServeStream contract, answers
-// bit-identical to one unpartitioned System
+// serving: the shared fairhealth.Pipeline over owner-routed members,
+// answers bit-identical to one unpartitioned System
 
-// Serve answers one GroupQuery, fanning each member's relevance
-// assembly to the member's owning partition and merging the candidate
-// lists exactly as an unpartitioned System.serve would.
-func (c *Coordinator) Serve(ctx context.Context, q fairhealth.GroupQuery) (*fairhealth.GroupResult, error) {
-	return c.serve(ctx, q, c.workers())
+// ownerMembers is the Coordinator's fairhealth.MemberSource: each
+// member is checked on, and scored by, its live owner partition.
+type ownerMembers struct{ c *Coordinator }
+
+func (m ownerMembers) CheckMember(u model.UserID) error {
+	_, sys, err := m.c.liveOwner(string(u))
+	if err != nil {
+		return err
+	}
+	if !sys.KnownUser(string(u)) {
+		return fmt.Errorf("%w: %s", fairhealth.ErrUnknownPatient, u)
+	}
+	return nil
 }
 
-// serve mirrors System.serve stage by stage — normalize, member
-// checks, assemble, aggregate, solve, shape — with the single
-// difference that per-member assembly routes through owner partitions.
-func (c *Coordinator) serve(ctx context.Context, q fairhealth.GroupQuery, assemblyWorkers int) (*fairhealth.GroupResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	nq, err := q.Normalized(c.cfg)
-	if err != nil {
-		return nil, err
-	}
-	g, err := memberGroup(nq.Members)
-	if err != nil {
-		return nil, err
-	}
-	owners := make(map[model.UserID]ownerRef, len(g))
-	for _, u := range g {
-		nd, sys, err := c.liveOwner(string(u))
+func (m ownerMembers) Relevances(ctx context.Context, scorer string, approx bool, g model.Group, workers int) ([]map[model.ItemID]float64, error) {
+	return scoring.Gather(ctx, func(u model.UserID) (map[model.ItemID]float64, error) {
+		nd, sys, err := m.c.liveOwner(string(u))
 		if err != nil {
 			return nil, err
 		}
-		if !sys.KnownUser(string(u)) {
-			return nil, fmt.Errorf("%w: %s", fairhealth.ErrUnknownPatient, u)
-		}
-		owners[u] = ownerRef{nd: nd, sys: sys}
-	}
-
-	aggr, aerr := group.ParseAggregator(nq.Aggregation)
-	if aerr != nil {
-		return nil, fmt.Errorf("%w: %v", fairhealth.ErrBadQuery, aerr) // unreachable: Normalized validated
-	}
-	prov := &routedProvider{scorer: nq.Scorer, owners: owners}
-	assembleFn := scoring.AssembleContext
-	if nq.Approx {
-		assembleFn = scoring.AssembleApproxContext
-	}
-	cands, err := assembleFn(ctx, prov, g, assemblyWorkers)
-	if err != nil {
-		if errors.Is(err, scoring.ErrEmptyGroup) {
-			return nil, fairhealth.ErrEmptyGroup
-		}
-		return nil, err
-	}
-	groupRel := make(map[model.ItemID]float64, len(cands.Items))
-	for item, scores := range cands.Items {
-		groupRel[item] = aggr.Aggregate(scores)
-	}
-	perUser := cands.PerUser
-	in := core.Input{
-		Group:    g,
-		Lists:    core.ListsFromRelevances(cands.PerUser, nq.K),
-		GroupRel: groupRel,
-		Rel: func(u model.UserID, i model.ItemID) (float64, bool) {
-			sc, ok := perUser[u][i]
-			return sc, ok
-		},
-	}
-	var res core.Result
-	switch nq.Method {
-	case fairhealth.MethodBrute:
-		if nq.BruteM > 0 {
-			in.GroupRel = core.TopCandidates(in.GroupRel, nq.BruteM)
-		}
-		res, err = core.BruteForce(in, nq.Z, nq.BruteMaxCombos)
-	default: // MethodGreedy
-		res, err = core.GreedyContext(ctx, in, nq.Z)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return toGroupResult(in, res, nq.Explain), nil
+		nd.assembles.Add(1)
+		return sys.MemberRelevances(scorer, string(u), approx)
+	}, g, workers)
 }
 
-// ownerRef pins one member's routing decision for the duration of a
-// query: counters on the node, relevance calls on the System snapshot.
-type ownerRef struct {
-	nd  *node
-	sys *fairhealth.System
+// Serve answers one GroupQuery, each member's relevance assembled on
+// its owning partition (see fairhealth.Pipeline.Serve).
+func (c *Coordinator) Serve(ctx context.Context, q fairhealth.GroupQuery) (*fairhealth.GroupResult, error) {
+	return c.pipe.Serve(ctx, q)
 }
 
-// routedProvider adapts owner routing to the scoring.Provider
-// contract, so the coordinator reuses scoring.Assemble's fan-out and
-// intersection semantics unchanged — the exact code path an
-// unpartitioned System assembles through.
-type routedProvider struct {
-	scorer string
-	owners map[model.UserID]ownerRef
-}
-
-func (r *routedProvider) Name() string { return r.scorer }
-
-func (r *routedProvider) Relevances(u model.UserID) (map[model.ItemID]float64, error) {
-	return r.relevances(u, false)
-}
-
-// RelevancesApprox implements scoring.ApproxRelevancer; each owner's
-// provider falls back to its exact path when it has no approx one,
-// matching AssembleApprox against that provider directly.
-func (r *routedProvider) RelevancesApprox(u model.UserID) (map[model.ItemID]float64, error) {
-	return r.relevances(u, true)
-}
-
-func (r *routedProvider) relevances(u model.UserID, approx bool) (map[model.ItemID]float64, error) {
-	ref, ok := r.owners[u]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", fairhealth.ErrUnknownPatient, u)
-	}
-	ref.nd.assembles.Add(1)
-	return ref.sys.MemberRelevances(r.scorer, string(u), approx)
-}
-
-func (r *routedProvider) Relevance(u model.UserID, i model.ItemID) (float64, bool, error) {
-	scores, err := r.Relevances(u)
-	if err != nil {
-		return 0, false, err
-	}
-	sc, ok := scores[i]
-	return sc, ok, nil
-}
-
-func (r *routedProvider) InvalidateUsers([]model.UserID) {}
-func (r *routedProvider) InvalidateAll()                 {}
-func (r *routedProvider) Close()                         {}
-
-// memberGroup mirrors the unpartitioned query pipeline's member
-// handling: dedup, then validate.
-func memberGroup(members []string) (model.Group, error) {
-	g := make(model.Group, len(members))
-	for k, u := range members {
-		g[k] = model.UserID(u)
-	}
-	g = g.Dedup()
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", fairhealth.ErrEmptyGroup, err)
-	}
-	return g, nil
-}
-
-// toGroupResult mirrors System.toGroupResult: group scores on the
-// selections, per-member evidence only when explain is set.
-func toGroupResult(in core.Input, res core.Result, explain bool) *fairhealth.GroupResult {
-	out := &fairhealth.GroupResult{
-		Items:        make([]fairhealth.Recommendation, len(res.Items)),
-		Fairness:     res.Fairness,
-		Value:        res.Value,
-		Combinations: res.Combinations,
-	}
-	for k, item := range res.Items {
-		out.Items[k] = fairhealth.Recommendation{Item: string(item), Score: in.GroupRel[item]}
-	}
-	if explain {
-		out.PerMember = make(map[string][]fairhealth.Recommendation, len(in.Group))
-		for u, list := range in.Lists {
-			recs := make([]fairhealth.Recommendation, len(list))
-			for k, it := range list {
-				recs[k] = fairhealth.Recommendation{Item: string(it.Item), Score: it.Score}
-			}
-			out.PerMember[string(u)] = recs
-		}
-	}
-	return out
-}
-
-// ServeBatch mirrors System.ServeBatch over the coordinator's stream.
+// ServeBatch answers many GroupQueries (see fairhealth.Pipeline.ServeBatch).
 func (c *Coordinator) ServeBatch(ctx context.Context, queries []fairhealth.GroupQuery) ([]fairhealth.BatchGroupResult, error) {
-	out := make([]fairhealth.BatchGroupResult, len(queries))
-	for k, q := range queries {
-		out[k].Index = k
-		out[k].Group = append([]string(nil), q.Members...)
-	}
-	emitted := 0
-	err := c.ServeStream(ctx, queries, func(e fairhealth.BatchGroupResult) error {
-		out[e.Index] = e
-		emitted++
-		return nil
-	})
-	if err != nil && emitted == 0 && len(queries) > 0 {
-		return nil, err
-	}
-	return out, err
+	return c.pipe.ServeBatch(ctx, queries)
 }
 
-// ServeStream mirrors System.ServeStream: queries fan out across the
-// Config.Workers budget with serial per-member assembly, entries are
-// yielded in completion order, fn is never called concurrently.
+// ServeStream yields many GroupQueries' entries as they complete (see
+// fairhealth.Pipeline.ServeStream).
 func (c *Coordinator) ServeStream(ctx context.Context, queries []fairhealth.GroupQuery, fn func(fairhealth.BatchGroupResult) error) error {
-	if fn == nil {
-		return errors.New("partition: ServeStream requires a callback")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(queries) == 0 {
-		return ctx.Err()
-	}
-	var emitMu sync.Mutex
-	var fnErr error
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	emit := func(e fairhealth.BatchGroupResult) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if fnErr != nil {
-			return
-		}
-		if err := fn(e); err != nil {
-			fnErr = err
-			cancel()
-		}
-	}
-	pool.Each(len(queries), c.workers(), func(k int) {
-		e := fairhealth.BatchGroupResult{Index: k, Group: append([]string(nil), queries[k].Members...)}
-		if cctx.Err() != nil {
-			if ctx.Err() == nil {
-				return // fn aborted the stream; emit nothing further
-			}
-			e.Err = ctx.Err()
-			emit(e)
-			return
-		}
-		e.Result, e.Err = c.serve(cctx, queries[k], 1)
-		emit(e)
-	})
-	if fnErr != nil {
-		return fnErr
-	}
-	return ctx.Err()
+	return c.pipe.ServeStream(ctx, queries, fn)
 }

@@ -14,9 +14,11 @@
 // transport call is marked down, traffic reroutes via OwnerLive, and
 // a background health loop re-handshakes it and streams the journal
 // gap back in compressed blocks before returning it to the ring.
-// Answers stay bit-identical to one unpartitioned System: scores ship
-// as raw float64 bit patterns and the merge is scoring.Combine — the
-// exact intersection the local path runs.
+// Group queries run the same fairhealth.Pipeline a System runs; only
+// the member vectors come from the peers. Answers stay bit-identical
+// to one unpartitioned System: scores ship as raw float64 bit
+// patterns, and the merge, aggregation, lists and solve are the local
+// code.
 package partition
 
 import (
@@ -31,13 +33,9 @@ import (
 
 	"fairhealth"
 	"fairhealth/internal/candidates"
-	"fairhealth/internal/core"
-	"fairhealth/internal/group"
 	"fairhealth/internal/model"
 	"fairhealth/internal/partition/transport"
-	"fairhealth/internal/pool"
 	"fairhealth/internal/ratings"
-	"fairhealth/internal/scoring"
 	"fairhealth/internal/wal"
 )
 
@@ -168,6 +166,8 @@ type Networked struct {
 	healthDone chan struct{}
 	healthWG   sync.WaitGroup
 	closeOnce  sync.Once
+
+	pipe *fairhealth.Pipeline // group serving over peerMembers
 }
 
 // docEntry mirrors one AddDocument call: documents are corpus state
@@ -201,6 +201,9 @@ func NewNetworked(cfg fairhealth.Config, addrs []string, opt NetOptions) (*Netwo
 		journal:     NewJournal(0), // unbounded: the rejoin bootstrap source
 		healthDone:  make(chan struct{}),
 	}
+	// A batch fans out two queries per peer: enough to keep every
+	// peer's pipelined connections busy without nesting pools.
+	n.pipe = fairhealth.NewPipeline(eff, peerMembers{n}, 2*len(addrs))
 	n.peers = make([]*netPeer, len(addrs))
 	for i, addr := range addrs {
 		n.peers[i] = &netPeer{
@@ -285,13 +288,6 @@ func (n *Networked) Close() error {
 		err = n.local.Close()
 	})
 	return err
-}
-
-func (n *Networked) workers() int {
-	if n.cfg.Workers > 0 {
-		return n.cfg.Workers
-	}
-	return len(n.peers) * 2
 }
 
 // ---------------------------------------------------------------------------
@@ -640,72 +636,42 @@ func routeUser[T any](n *Networked, user string, call func(context.Context, *tra
 }
 
 // ---------------------------------------------------------------------------
-// group serving: the coalesced fan-out
+// group serving: the shared fairhealth.Pipeline over the coalesced
+// fan-out
 
-// Serve answers one group query.
-func (n *Networked) Serve(ctx context.Context, q fairhealth.GroupQuery) (*fairhealth.GroupResult, error) {
-	return n.serve(ctx, q)
+// peerMembers is Networked's fairhealth.MemberSource: members are
+// checked against the local replica and scored by their owning peers,
+// one coalesced RPC per peer (assembleRemote; the RPCs are the fan-out,
+// so the workers bound is not used).
+type peerMembers struct{ n *Networked }
+
+func (m peerMembers) CheckMember(u model.UserID) error {
+	if !m.n.local.KnownUser(string(u)) {
+		return fmt.Errorf("%w: %s", fairhealth.ErrUnknownPatient, u)
+	}
+	return nil
 }
 
-// serve mirrors System.serve stage by stage — normalize, member
-// checks, assemble, aggregate, solve, shape — with member relevance
-// gathered through coalesced per-peer RPCs and merged by
-// scoring.Combine, the exact intersection the local path runs.
-func (n *Networked) serve(ctx context.Context, q fairhealth.GroupQuery) (*fairhealth.GroupResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	nq, err := q.Normalized(n.cfg)
-	if err != nil {
-		return nil, err
-	}
-	g, err := memberGroup(nq.Members)
-	if err != nil {
-		return nil, err
-	}
-	for _, u := range g {
-		if !n.local.KnownUser(string(u)) {
-			return nil, fmt.Errorf("%w: %s", fairhealth.ErrUnknownPatient, u)
-		}
-	}
+func (m peerMembers) Relevances(ctx context.Context, scorer string, approx bool, g model.Group, _ int) ([]map[model.ItemID]float64, error) {
+	return m.n.assembleRemote(ctx, scorer, approx, g)
+}
 
-	aggr, aerr := group.ParseAggregator(nq.Aggregation)
-	if aerr != nil {
-		return nil, fmt.Errorf("%w: %v", fairhealth.ErrBadQuery, aerr) // unreachable: Normalized validated
-	}
-	maps, err := n.assembleRemote(ctx, nq.Scorer, nq.Approx, g)
-	if err != nil {
-		return nil, err
-	}
-	cands := scoring.Combine(g, maps)
-	groupRel := make(map[model.ItemID]float64, len(cands.Items))
-	for item, scores := range cands.Items {
-		groupRel[item] = aggr.Aggregate(scores)
-	}
-	perUser := cands.PerUser
-	in := core.Input{
-		Group:    g,
-		Lists:    core.ListsFromRelevances(cands.PerUser, nq.K),
-		GroupRel: groupRel,
-		Rel: func(u model.UserID, i model.ItemID) (float64, bool) {
-			sc, ok := perUser[u][i]
-			return sc, ok
-		},
-	}
-	var res core.Result
-	switch nq.Method {
-	case fairhealth.MethodBrute:
-		if nq.BruteM > 0 {
-			in.GroupRel = core.TopCandidates(in.GroupRel, nq.BruteM)
-		}
-		res, err = core.BruteForce(in, nq.Z, nq.BruteMaxCombos)
-	default: // MethodGreedy
-		res, err = core.GreedyContext(ctx, in, nq.Z)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return toGroupResult(in, res, nq.Explain), nil
+// Serve answers one group query (see fairhealth.Pipeline.Serve).
+func (n *Networked) Serve(ctx context.Context, q fairhealth.GroupQuery) (*fairhealth.GroupResult, error) {
+	return n.pipe.Serve(ctx, q)
+}
+
+// ServeBatch answers many group queries (see
+// fairhealth.Pipeline.ServeBatch). Concurrent queries stack onto the
+// same pipelined peer connections.
+func (n *Networked) ServeBatch(ctx context.Context, queries []fairhealth.GroupQuery) ([]fairhealth.BatchGroupResult, error) {
+	return n.pipe.ServeBatch(ctx, queries)
+}
+
+// ServeStream yields many group queries' entries as they complete (see
+// fairhealth.Pipeline.ServeStream).
+func (n *Networked) ServeStream(ctx context.Context, queries []fairhealth.GroupQuery, fn func(fairhealth.BatchGroupResult) error) error {
+	return n.pipe.ServeStream(ctx, queries, fn)
 }
 
 // assembleRemote gathers every member's relevance map with at most
@@ -784,74 +750,6 @@ func (n *Networked) assembleRemote(ctx context.Context, scorer string, approx bo
 		remaining = failed
 	}
 	return maps, nil
-}
-
-// ServeBatch mirrors Coordinator.ServeBatch over the stream.
-func (n *Networked) ServeBatch(ctx context.Context, queries []fairhealth.GroupQuery) ([]fairhealth.BatchGroupResult, error) {
-	out := make([]fairhealth.BatchGroupResult, len(queries))
-	for k, q := range queries {
-		out[k].Index = k
-		out[k].Group = append([]string(nil), q.Members...)
-	}
-	emitted := 0
-	err := n.ServeStream(ctx, queries, func(e fairhealth.BatchGroupResult) error {
-		out[e.Index] = e
-		emitted++
-		return nil
-	})
-	if err != nil && emitted == 0 && len(queries) > 0 {
-		return nil, err
-	}
-	return out, err
-}
-
-// ServeStream mirrors Coordinator.ServeStream: queries fan out across
-// the workers budget, entries yield in completion order, fn is never
-// called concurrently. Per-query member assembly is already one RPC
-// per peer, so concurrent queries stack onto the same pipelined
-// connections instead of nesting worker pools.
-func (n *Networked) ServeStream(ctx context.Context, queries []fairhealth.GroupQuery, fn func(fairhealth.BatchGroupResult) error) error {
-	if fn == nil {
-		return errors.New("partition: ServeStream requires a callback")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(queries) == 0 {
-		return ctx.Err()
-	}
-	var emitMu sync.Mutex
-	var fnErr error
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	emit := func(e fairhealth.BatchGroupResult) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if fnErr != nil {
-			return
-		}
-		if err := fn(e); err != nil {
-			fnErr = err
-			cancel()
-		}
-	}
-	pool.Each(len(queries), n.workers(), func(k int) {
-		e := fairhealth.BatchGroupResult{Index: k, Group: append([]string(nil), queries[k].Members...)}
-		if cctx.Err() != nil {
-			if ctx.Err() == nil {
-				return // fn aborted the stream; emit nothing further
-			}
-			e.Err = ctx.Err()
-			emit(e)
-			return
-		}
-		e.Result, e.Err = n.serve(cctx, queries[k])
-		emit(e)
-	})
-	if fnErr != nil {
-		return fnErr
-	}
-	return ctx.Err()
 }
 
 // ---------------------------------------------------------------------------

@@ -657,3 +657,98 @@ func TestWritesValidateBeforeWAL(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamRulesOnEveryEngine pins the ServeStream rules on all three
+// engines: a callback error stops the stream after that entry and is
+// returned, and a context cancelled up front yields every index with
+// the context's error.
+func TestStreamRulesOnEveryEngine(t *testing.T) {
+	single, err := fairhealth.New(baseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	coord, err := partition.New(baseConfig(), partition.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	networked, _ := startNetCluster(t, baseConfig(), 2)
+	engines := []struct {
+		name string
+		seedTarget
+		ServeStream func(context.Context, []fairhealth.GroupQuery, func(fairhealth.BatchGroupResult) error) error
+	}{
+		{"system", single, single.ServeStream},
+		{"coordinator", coord, coord.ServeStream},
+		{"networked", networked, networked.ServeStream},
+	}
+	for _, e := range engines {
+		seed(t, e.seedTarget, 5, 24)
+	}
+	users := single.SortedUsers()
+	queries := make([]fairhealth.GroupQuery, 6)
+	for k := range queries {
+		queries[k] = fairhealth.GroupQuery{Members: []string{users[k], users[k+6]}, Z: 4}
+	}
+
+	for _, e := range engines {
+		t.Run(e.name+"/fn-error-stops", func(t *testing.T) {
+			boom := errors.New("sink full")
+			seen := 0
+			err := e.ServeStream(context.Background(), queries, func(fairhealth.BatchGroupResult) error {
+				seen++
+				if seen == 2 {
+					return boom
+				}
+				return nil
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the callback's error", err)
+			}
+			if seen != 2 {
+				t.Errorf("callback ran %d times, want exactly 2", seen)
+			}
+		})
+		t.Run(e.name+"/cancelled-upfront", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			seen := make(map[int]bool)
+			err := e.ServeStream(ctx, queries, func(r fairhealth.BatchGroupResult) error {
+				seen[r.Index] = true
+				if !errors.Is(r.Err, context.Canceled) {
+					t.Errorf("entry %d: err = %v, want context.Canceled", r.Index, r.Err)
+				}
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if len(seen) != len(queries) {
+				t.Fatalf("yielded %d entries, want %d", len(seen), len(queries))
+			}
+		})
+	}
+}
+
+// TestServeWithNoLivePartitions pins the routing error the member
+// check carries: with every partition detached, Serve reports
+// ErrNoLivePartitions rather than an unknown patient.
+func TestServeWithNoLivePartitions(t *testing.T) {
+	coord, err := partition.New(baseConfig(), partition.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	seed(t, coord, 3, 12)
+	ids := coord.Patients()
+	for i := 0; i < coord.PartitionCount(); i++ {
+		if err := coord.Detach(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = coord.Serve(context.Background(), fairhealth.GroupQuery{Members: []string{ids[0], ids[1]}, Z: 4})
+	if !errors.Is(err, partition.ErrNoLivePartitions) {
+		t.Fatalf("err = %v, want ErrNoLivePartitions", err)
+	}
+}

@@ -41,7 +41,6 @@ import (
 	"sync"
 
 	"fairhealth"
-	"fairhealth/internal/core"
 	"fairhealth/internal/ratings"
 )
 
@@ -118,7 +117,7 @@ func (e *WireError) Is(target error) bool {
 	case errCanceled:
 		return target == context.Canceled
 	case errTooManyCombos:
-		return target == core.ErrTooManyCombinations
+		return target == fairhealth.ErrTooManyCombinations
 	case errConfigMismatch:
 		return target == ErrConfigMismatch
 	}
@@ -141,7 +140,7 @@ func codeFor(err error) byte {
 		return errDeadline
 	case errors.Is(err, context.Canceled):
 		return errCanceled
-	case errors.Is(err, core.ErrTooManyCombinations):
+	case errors.Is(err, fairhealth.ErrTooManyCombinations):
 		return errTooManyCombos
 	case errors.Is(err, ErrConfigMismatch):
 		return errConfigMismatch

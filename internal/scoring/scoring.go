@@ -242,41 +242,41 @@ type ApproxRelevancer interface {
 // computed independently, so the fan-out cannot change any score: the
 // result is bit-identical to a serial member-by-member loop.
 func Assemble(p Provider, g model.Group, workers int) (Candidates, error) {
-	return assemble(context.Background(), p.Relevances, g, workers)
+	return AssembleContext(context.Background(), p, g, workers)
 }
 
-// AssembleApprox is Assemble through the provider's approx path when
-// it has one (ApproxRelevancer), and identical to Assemble otherwise.
-func AssembleApprox(p Provider, g model.Group, workers int) (Candidates, error) {
-	return assemble(context.Background(), approxRel(p), g, workers)
-}
-
-// AssembleContext is Assemble honoring ctx: members whose scoring has
-// not started when the context ends are skipped, and once the deadline
-// passes the call returns ctx.Err() immediately instead of blocking on
-// in-flight member computations (stragglers finish in the background
-// and their results are discarded — provider calls are read-only, so
-// abandonment cannot corrupt state).
+// AssembleContext is Assemble honoring ctx (see Gather): it is Gather
+// over p's exact path followed by Combine.
 func AssembleContext(ctx context.Context, p Provider, g model.Group, workers int) (Candidates, error) {
-	return assemble(ctx, p.Relevances, g, workers)
+	maps, err := Gather(ctx, p.Relevances, g, workers)
+	if err != nil {
+		return Candidates{}, err
+	}
+	return Combine(g, maps), nil
 }
 
-// AssembleApproxContext is AssembleContext through the provider's
-// approx path when it has one.
-func AssembleApproxContext(ctx context.Context, p Provider, g model.Group, workers int) (Candidates, error) {
-	return assemble(ctx, approxRel(p), g, workers)
-}
-
-func approxRel(p Provider) func(model.UserID) (map[model.ItemID]float64, error) {
-	if ap, ok := p.(ApproxRelevancer); ok {
+// RelevancesFunc is p's per-member relevance function: its approx path
+// when approx is set and p has one (ApproxRelevancer), otherwise its
+// exact path.
+func RelevancesFunc(p Provider, approx bool) func(model.UserID) (map[model.ItemID]float64, error) {
+	if ap, ok := p.(ApproxRelevancer); ok && approx {
 		return ap.RelevancesApprox
 	}
 	return p.Relevances
 }
 
-func assemble(ctx context.Context, rel func(model.UserID) (map[model.ItemID]float64, error), g model.Group, workers int) (Candidates, error) {
+// Gather computes rel for every member of g — in parallel across at
+// most workers goroutines, balanced by internal/pool — and returns the
+// maps in group order. Members whose scoring has not started when ctx
+// ends are skipped, and once it ends the call returns ctx.Err()
+// immediately instead of blocking on in-flight member computations
+// (stragglers finish in the background and their results are
+// discarded — provider calls are read-only, so abandonment cannot
+// corrupt state). A member's failure is reported as
+// "scoring: member <id>: <err>".
+func Gather(ctx context.Context, rel func(model.UserID) (map[model.ItemID]float64, error), g model.Group, workers int) ([]map[model.ItemID]float64, error) {
 	if len(g) == 0 {
-		return Candidates{}, ErrEmptyGroup
+		return nil, ErrEmptyGroup
 	}
 	maps := make([]map[model.ItemID]float64, len(g))
 	errs := make([]error, len(g))
@@ -294,14 +294,14 @@ func assemble(ctx context.Context, rel func(model.UserID) (map[model.ItemID]floa
 	select {
 	case <-done:
 	case <-ctx.Done():
-		return Candidates{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 	for k, err := range errs {
 		if err != nil {
-			return Candidates{}, fmt.Errorf("scoring: member %s: %w", g[k], err)
+			return nil, fmt.Errorf("scoring: member %s: %w", g[k], err)
 		}
 	}
-	return Combine(g, maps), nil
+	return maps, nil
 }
 
 // Combine intersects per-member prediction maps (in group order, one

@@ -1,13 +1,16 @@
 package fairhealth
 
-// The unified request contract. Every group recommendation — library
-// call, CLI invocation, or HTTP request — is a GroupQuery served by
-// System.Serve (one query) or ServeBatch/ServeStream (many). One typed
-// object means new knobs (per-query aggregation, brute-force bounds,
-// explain output) extend a struct instead of widening a
-// positional-argument matrix, and a batch can mix methods and
-// parameters freely. The paper's §IV MapReduce pipeline is not a
-// serving method: it lives in internal/mrpipeline behind `fairrec mr`.
+// The unified request contract and the one pipeline that serves it.
+// Every group recommendation — library call, CLI invocation, or HTTP
+// request — is a GroupQuery served by Serve (one query) or
+// ServeBatch/ServeStream (many), on a System or on either partition
+// router; all three run the same Pipeline and differ only in their
+// MemberSource. One typed object means new knobs (per-query
+// aggregation, brute-force bounds, explain output) extend a struct
+// instead of widening a positional-argument matrix, and a batch can mix
+// methods and parameters freely. The paper's §IV MapReduce pipeline is
+// not a serving method: it lives in internal/mrpipeline behind
+// `fairrec mr`.
 
 import (
 	"context"
@@ -16,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"fairhealth/internal/cache"
 	"fairhealth/internal/core"
 	"fairhealth/internal/group"
 	"fairhealth/internal/model"
@@ -130,10 +134,8 @@ func (q GroupQuery) Validate() error {
 
 // Normalized validates q and resolves every defaulted field against
 // the effective configuration (System.Config), returning the query
-// Serve would actually execute. Exported for serving layers that make
-// routing decisions from the resolved method and scorer — the
-// partition coordinator must see the same effective query its
-// partitions will — without duplicating the defaulting rules.
+// Serve would actually execute. Exported for callers that act on the
+// resolved method and scorer without duplicating the defaulting rules.
 func (q GroupQuery) Normalized(cfg Config) (GroupQuery, error) {
 	return q.normalize(cfg)
 }
@@ -178,28 +180,70 @@ func memberGroup(members []string) (model.Group, error) {
 	return g, nil
 }
 
+// MemberSource is the one seam between the group pipeline and the
+// engine it runs on: how a member is checked, and how the members'
+// relevance vectors are obtained. A System scores members in process;
+// a partition router fetches each vector from the member's owning
+// partition. Everything else — defaults, aggregation, the lists A_u,
+// the solver and the result's shape — belongs to the Pipeline, so every
+// engine answers a query through the same code.
+type MemberSource interface {
+	// CheckMember returns nil when u can be served, an error wrapping
+	// ErrUnknownPatient and naming u when the engine has never seen u,
+	// or the engine's routing error.
+	CheckMember(u model.UserID) error
+	// Relevances returns one relevance map per member of g, in group
+	// order, under the named scorer (approx as in GroupQuery.Approx).
+	// workers bounds the source's own fan-out (≤ 0: GOMAXPROCS); a
+	// source whose calls are coalesced may ignore it.
+	Relevances(ctx context.Context, scorer string, approx bool, g model.Group, workers int) ([]map[model.ItemID]float64, error)
+}
+
+// Pipeline serves GroupQueries over a MemberSource: normalize → member
+// check → gather → combine → aggregate → lists A_u → solve → shape.
+// System, partition.Coordinator and partition.Networked each serve
+// through one.
+type Pipeline struct {
+	cfg   Config
+	src   MemberSource
+	width int
+	// memo is the group-input memo; only a System has one (its fence
+	// covers a single replica's writes).
+	memo *cache.Cache[string, string, groupInput]
+}
+
+// NewPipeline builds the pipeline an engine with effective
+// configuration cfg serves through. Batches fan out, and a single
+// query's gather runs, across cfg.Workers goroutines; when that is
+// zero, across width, and across GOMAXPROCS when both are zero.
+func NewPipeline(cfg Config, src MemberSource, width int) *Pipeline {
+	if cfg.Workers > 0 {
+		width = cfg.Workers
+	}
+	return &Pipeline{cfg: cfg, src: src, width: width}
+}
+
 // Serve answers one GroupQuery — the single execution path behind
 // every group recommendation surface. It validates and normalizes the
-// query, checks every member is known, runs the selected solver under
-// ctx, and shapes the result (PerMember only when q.Explain is set).
+// query, checks every member, runs the selected solver under ctx, and
+// shapes the result (PerMember only when q.Explain is set).
 //
 // Errors: ErrBadQuery for an invalid query, ErrEmptyGroup for a query
 // over no members, ErrUnknownPatient naming the first member the
-// system has never seen, the context error on cancellation.
-func (s *System) Serve(ctx context.Context, q GroupQuery) (*GroupResult, error) {
-	return s.serve(ctx, q, s.workers())
-}
-
-// serve is Serve with an explicit bound on per-member assembly
-// parallelism. Single-shot serving fans the group's member scoring
-// out across the full Config.Workers budget; the batch path passes 1,
-// because its queries already occupy that budget and nested pools
-// would oversubscribe the documented bound.
-func (s *System) serve(ctx context.Context, q GroupQuery, assemblyWorkers int) (*GroupResult, error) {
+// engine has never seen, the context error on cancellation.
+func (p *Pipeline) Serve(ctx context.Context, q GroupQuery) (*GroupResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	nq, err := q.normalize(s.cfg)
+	return p.serve(ctx, q, p.width)
+}
+
+// serve is Serve with an explicit bound on the gather's parallelism.
+// A single query fans its members out across the full width; a batch
+// entry passes 1, because the batch's queries already occupy that
+// width and nested pools would oversubscribe it.
+func (p *Pipeline) serve(ctx context.Context, q GroupQuery, workers int) (*GroupResult, error) {
+	nq, err := q.normalize(p.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -208,16 +252,15 @@ func (s *System) serve(ctx context.Context, q GroupQuery, assemblyWorkers int) (
 		return nil, err
 	}
 	for _, u := range g {
-		if !s.knownUser(u) {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownPatient, u)
+		if err := p.src.CheckMember(u); err != nil {
+			return nil, err
 		}
 	}
-
 	aggr, err := group.ParseAggregator(nq.Aggregation)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err) // unreachable: normalize validated
 	}
-	gin, err := s.groupProblem(ctx, nq.Scorer, g, aggr, nq.K, assemblyWorkers, nq.Approx)
+	gin, err := p.problem(ctx, nq.Scorer, g, aggr, nq.K, workers, nq.Approx)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +280,118 @@ func (s *System) serve(ctx context.Context, q GroupQuery, assemblyWorkers int) (
 	if err != nil {
 		return nil, err
 	}
-	return s.toGroupResult(in, res, nq.Explain), nil
+	return toGroupResult(in, res, nq.Explain), nil
+}
+
+// problem is the stage between a checked query and the fair solvers:
+// gather every member's relevance map from the source, intersect them
+// (scoring.Combine), fold the candidates into group relevance under
+// the query's aggregation, and build the personal top-k lists A_u.
+// With a memo, assembled inputs are memoized per (scorer, members,
+// aggregation, K, approx); the eviction-sequence fence is captured
+// before the gather reads any upstream state, so a write racing the
+// gather keeps the result out of the memo (the caller still gets its
+// answer — a read overlapping a write may see either side of it).
+func (p *Pipeline) problem(ctx context.Context, scorer string, g model.Group, aggr group.Aggregator, k, workers int, approx bool) (groupInput, error) {
+	var key string
+	var startSeq uint64
+	if p.memo != nil {
+		key = groupKey(scorer, g, aggr.Name(), k, approx)
+		if in, _, ok := p.memo.Get(key); ok {
+			return in, nil
+		}
+		startSeq = p.memo.Seq()
+	}
+	maps, err := p.src.Relevances(ctx, scorer, approx, g, workers)
+	if err != nil {
+		return groupInput{}, err
+	}
+	cands := scoring.Combine(g, maps)
+	groupRel := make(map[model.ItemID]float64, len(cands.Items))
+	for item, scores := range cands.Items {
+		groupRel[item] = aggr.Aggregate(scores)
+	}
+	in := groupInput{
+		group:    g,
+		perUser:  cands.PerUser,
+		groupRel: groupRel,
+		lists:    core.ListsFromRelevances(cands.PerUser, k),
+	}
+	if p.memo != nil {
+		p.memo.PutChecked(key, in, []string{groupScopeRatings}, startSeq)
+	}
+	return in, nil
+}
+
+// coreInput adapts an assembled group problem to the solvers' contract.
+func (in groupInput) coreInput() core.Input {
+	perUser := in.perUser
+	return core.Input{
+		Group:    in.group,
+		Lists:    in.lists,
+		GroupRel: in.groupRel,
+		Rel: func(u model.UserID, i model.ItemID) (float64, bool) {
+			sc, ok := perUser[u][i]
+			return sc, ok
+		},
+	}
+}
+
+// toGroupResult shapes a solver outcome. The per-member evidence maps
+// are built only when explain is set — they are |G|×K conversions the
+// default serving path never reads.
+func toGroupResult(in core.Input, res core.Result, explain bool) *GroupResult {
+	out := &GroupResult{
+		Items:        make([]Recommendation, len(res.Items)),
+		Fairness:     res.Fairness,
+		Value:        res.Value,
+		Combinations: res.Combinations,
+	}
+	for k, item := range res.Items {
+		out.Items[k] = Recommendation{Item: string(item), Score: in.GroupRel[item]}
+	}
+	if explain {
+		out.PerMember = make(map[string][]Recommendation, len(in.Group))
+		for u, list := range in.Lists {
+			out.PerMember[string(u)] = toRecs(list)
+		}
+	}
+	return out
+}
+
+// localMembers is a System's MemberSource: members are checked against
+// its own stores and scored by its own providers.
+type localMembers struct{ s *System }
+
+func (m localMembers) CheckMember(u model.UserID) error {
+	if !m.s.knownUser(u) {
+		return fmt.Errorf("%w: %s", ErrUnknownPatient, u)
+	}
+	return nil
+}
+
+func (m localMembers) Relevances(ctx context.Context, scorer string, approx bool, g model.Group, workers int) ([]map[model.ItemID]float64, error) {
+	rel, err := m.s.memberRel(scorer, approx)
+	if err != nil {
+		return nil, err
+	}
+	return scoring.Gather(ctx, rel, g, workers)
+}
+
+// Serve answers one GroupQuery (see Pipeline.Serve).
+func (s *System) Serve(ctx context.Context, q GroupQuery) (*GroupResult, error) {
+	return s.pipe.Serve(ctx, q)
+}
+
+// ServeBatch answers many GroupQueries (see Pipeline.ServeBatch).
+func (s *System) ServeBatch(ctx context.Context, queries []GroupQuery) ([]BatchGroupResult, error) {
+	return s.pipe.ServeBatch(ctx, queries)
+}
+
+// ServeStream yields many GroupQueries' entries as they complete (see
+// Pipeline.ServeStream).
+func (s *System) ServeStream(ctx context.Context, queries []GroupQuery, fn func(BatchGroupResult) error) error {
+	return s.pipe.ServeStream(ctx, queries, fn)
 }
 
 // BatchGroupResult is one query's outcome within ServeBatch and
@@ -260,20 +414,20 @@ type BatchGroupResult struct {
 // multi-caregiver serving path. Queries are independent: each entry
 // may use its own method, z, aggregation, or k, and fails or succeeds
 // on its own (one bad query does not poison the batch). The queries
-// fan out across at most Config.Workers goroutines; work they share
+// fan out across at most the pipeline's width; work they share
 // (a member's similarity row, a peer set) is deduplicated by the
 // cache layers as it is asked for, not warmed ahead. When ctx is
 // cancelled mid-batch, in-flight queries stop at the next
 // cancellation point, unstarted entries get Err = ctx.Err(), and the
 // context error is also returned. Results are in request order; for
 // entries as they complete, use ServeStream.
-func (s *System) ServeBatch(ctx context.Context, queries []GroupQuery) ([]BatchGroupResult, error) {
+func (p *Pipeline) ServeBatch(ctx context.Context, queries []GroupQuery) ([]BatchGroupResult, error) {
 	out := make([]BatchGroupResult, len(queries))
 	for k, q := range queries {
 		out[k].Index = k
 		out[k].Group = append([]string(nil), q.Members...)
 	}
-	err := s.ServeStream(ctx, queries, func(e BatchGroupResult) error {
+	err := p.ServeStream(ctx, queries, func(e BatchGroupResult) error {
 		out[e.Index] = e
 		return nil
 	})
@@ -289,7 +443,7 @@ func (s *System) ServeBatch(ctx context.Context, queries []GroupQuery) ([]BatchG
 // queries, and is returned. When ctx is cancelled mid-stream,
 // remaining entries are yielded with Err = ctx.Err() and the context
 // error is returned.
-func (s *System) ServeStream(ctx context.Context, queries []GroupQuery, fn func(BatchGroupResult) error) error {
+func (p *Pipeline) ServeStream(ctx context.Context, queries []GroupQuery, fn func(BatchGroupResult) error) error {
 	if fn == nil {
 		return errors.New("fairhealth: ServeStream requires a callback")
 	}
@@ -315,12 +469,8 @@ func (s *System) ServeStream(ctx context.Context, queries []GroupQuery, fn func(
 			cancel() // abandon the remaining queries
 		}
 	}
-	entry := func(k int) BatchGroupResult {
-		return BatchGroupResult{Index: k, Group: append([]string(nil), queries[k].Members...)}
-	}
-
-	pool.Each(len(queries), s.workers(), func(k int) {
-		e := entry(k)
+	pool.Each(len(queries), p.width, func(k int) {
+		e := BatchGroupResult{Index: k, Group: append([]string(nil), queries[k].Members...)}
 		if cctx.Err() != nil {
 			if ctx.Err() == nil {
 				return // fn aborted the stream; emit nothing further
@@ -329,9 +479,9 @@ func (s *System) ServeStream(ctx context.Context, queries []GroupQuery, fn func(
 			emit(e)
 			return
 		}
-		// Assembly runs serial inside each query: the batch fan-out
-		// already holds the Config.Workers budget.
-		e.Result, e.Err = s.serve(cctx, queries[k], 1)
+		// The gather runs serial inside each query: the batch fan-out
+		// already holds the pipeline's width.
+		e.Result, e.Err = p.serve(cctx, queries[k], 1)
 		emit(e)
 	})
 	if fnErr != nil {
