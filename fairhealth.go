@@ -520,16 +520,10 @@ func NewWithOntology(cfg Config, ont *ontology.Ontology) (*System, error) {
 			MaxCost:    c.CacheMaxCost,
 		}),
 		providers: make(map[string]scoring.Provider),
-		groupCache: cache.New[string, string, groupInput](cache.Config[string, groupInput]{
-			Hash:       func(k string) uint32 { return cache.FNV1a(k) },
-			TTL:        c.CacheTTL,
-			MaxEntries: c.CacheMaxEntries,
-			MaxCost:    c.CacheMaxCost,
-			Cost:       groupInputCost,
-		}),
 	}
 	sys.pipe = NewPipeline(c, localMembers{sys}, 0)
-	sys.pipe.memo = sys.groupCache
+	sys.pipe.EnableMemo()
+	sys.groupCache = sys.pipe.memo
 	if c.CandidateIndex {
 		sys.candIdx = candidates.NewRatings(sys.ratings, candidates.Config{K: c.CandidateK, Seed: 1})
 	}
@@ -657,7 +651,7 @@ func (s *System) Close() error {
 	}
 	s.mu.Unlock()
 	s.peerCache.Close()
-	s.groupCache.Close()
+	s.pipe.Close()
 	s.provMu.Lock()
 	for _, p := range s.providers {
 		p.Close()
@@ -906,7 +900,6 @@ func (s *System) CacheStats() CacheStats {
 		sim.Ages = ageHistogram(simCache.AgeHistogram(ageBounds))
 	}
 	ps := s.peerCache.Stats()
-	gs := s.groupCache.Stats()
 	return CacheStats{
 		Similarity: sim,
 		Peers: CacheCounters{
@@ -919,16 +912,7 @@ func (s *System) CacheStats() CacheStats {
 			TTLSeconds:  s.peerCache.TTL().Seconds(),
 			Ages:        ageHistogram(s.peerCache.AgeHistogram(ageBounds)),
 		},
-		Groups: CacheCounters{
-			Hits:        gs.Hits,
-			Misses:      gs.Misses,
-			Evictions:   gs.Evictions,
-			Expirations: gs.Expirations,
-			Entries:     gs.Entries,
-			Cost:        gs.Cost,
-			TTLSeconds:  s.groupCache.TTL().Seconds(),
-			Ages:        ageHistogram(s.groupCache.AgeHistogram(ageBounds)),
-		},
+		Groups: s.pipe.MemoStats(),
 	}
 }
 
@@ -1213,7 +1197,7 @@ func (s *System) invalidateUsers(users ...model.UserID) {
 		p.InvalidateUsers(users)
 	}
 	s.provMu.Unlock()
-	s.groupCache.EvictScopes([]string{groupScopeRatings})
+	s.pipe.DropMemo()
 	if s.candIdx != nil {
 		// After the cache layers: the index is never consulted for
 		// bit-identity (exact prefilter reads live postings), so the

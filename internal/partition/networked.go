@@ -8,12 +8,15 @@
 //
 // The serving hot path is coalesced: all members of a group owned by
 // the same peer travel in one Relevances RPC, so a group costs at
-// most one RPC per live peer, not one per member. Writes commit to
+// most one RPC per live peer, not one per member, and a memoized group
+// costs none. Writes commit to
 // the coordinator's journal and local replica first, then apply on
 // every live peer over the same transport; a peer that fails a
-// transport call is marked down, traffic reroutes via OwnerLive, and
-// a background health loop re-handshakes it and streams the journal
-// gap back in compressed blocks before returning it to the ring.
+// transport call, refuses a record as a sequence gap, or reports an
+// applied seq below what it acknowledged (a probe on every health
+// tick) is marked down, traffic reroutes via OwnerLive, and a
+// background health loop re-handshakes it and streams the journal gap
+// back in compressed blocks before returning it to the ring.
 // Group queries run the same fairhealth.Pipeline a System runs; only
 // the member vectors come from the peers. Answers stay bit-identical
 // to one unpartitioned System: scores ship as raw float64 bit
@@ -55,7 +58,8 @@ type NetOptions struct {
 	// CallTimeout bounds routed user-level reads, which carry no
 	// caller context through the Backend interface (0 = 10s).
 	CallTimeout time.Duration
-	// HealthEvery is the down-peer probe period (0 = 500ms).
+	// HealthEvery is the health-loop period (0 = 500ms): every tick
+	// probes each live peer and tries to revive each down one.
 	HealthEvery time.Duration
 	// BackoffBase seeds the per-peer reconnect backoff, doubling per
 	// consecutive failure up to 16× (0 = 250ms).
@@ -167,7 +171,11 @@ type Networked struct {
 	healthWG   sync.WaitGroup
 	closeOnce  sync.Once
 
-	pipe *fairhealth.Pipeline // group serving over peerMembers
+	// pipe serves groups over peerMembers, with a group-input memo.
+	// Its fence: every commit drops the memo after replicate returns,
+	// still under writeMu, and so does every markDown (a worker
+	// restarted empty may have answered a gather before it was caught).
+	pipe *fairhealth.Pipeline
 }
 
 // docEntry mirrors one AddDocument call: documents are corpus state
@@ -204,6 +212,7 @@ func NewNetworked(cfg fairhealth.Config, addrs []string, opt NetOptions) (*Netwo
 	// A batch fans out two queries per peer: enough to keep every
 	// peer's pipelined connections busy without nesting pools.
 	n.pipe = fairhealth.NewPipeline(eff, peerMembers{n}, 2*len(addrs))
+	n.pipe.EnableMemo()
 	n.peers = make([]*netPeer, len(addrs))
 	for i, addr := range addrs {
 		n.peers[i] = &netPeer{
@@ -235,6 +244,7 @@ func NewNetworked(cfg fairhealth.Config, addrs []string, opt NetOptions) (*Netwo
 			p.errMu.Unlock()
 		}
 		n.closePeers()
+		n.pipe.Close()
 		local.Close()
 		return nil, fmt.Errorf("partition: no reachable peers (%s)", strings.Join(errs, "; "))
 	}
@@ -285,15 +295,17 @@ func (n *Networked) Close() error {
 		close(n.healthDone)
 		n.healthWG.Wait()
 		n.closePeers()
+		n.pipe.Close()
 		err = n.local.Close()
 	})
 	return err
 }
 
 // ---------------------------------------------------------------------------
-// health: down peers are probed every HealthEvery; a probe that
-// handshakes streams the journal gap in compressed blocks, seals the
-// final delta under the write lock, and returns the peer to the ring.
+// health: every HealthEvery, live peers are probed and down peers are
+// revived; a revive that handshakes streams the journal gap in
+// compressed blocks, seals the final delta under the write lock, and
+// returns the peer to the ring.
 
 func (n *Networked) healthLoop() {
 	defer n.healthWG.Done()
@@ -305,7 +317,9 @@ func (n *Networked) healthLoop() {
 			return
 		case <-tick.C:
 			for _, p := range n.peers {
-				if !p.live.Load() {
+				if p.live.Load() {
+					n.probe(p)
+				} else {
 					n.revive(p)
 				}
 			}
@@ -313,10 +327,30 @@ func (n *Networked) healthLoop() {
 	}
 }
 
+// probe re-handshakes one live peer. A memo hit sends no RPC, so
+// without it a dead peer would stay live; and a worker restarted empty
+// on its old address reports an applied seq below the one it
+// acknowledged. Either takes the peer down for catch-up.
+func (n *Networked) probe(p *netPeer) {
+	// Read before the probe: commit stores appliedSeq only after the
+	// worker has applied the record, so the reply can never be lower.
+	acked := p.appliedSeq.Load()
+	ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
+	defer cancel()
+	seq, _, err := p.client.Hello(ctx, n.fingerprint)
+	if err == nil && seq < acked {
+		err = fmt.Errorf("partition: peer restarted: applied seq %d, acknowledged %d", seq, acked)
+	}
+	if err != nil {
+		n.markDown(p, err)
+	}
+}
+
 func (n *Networked) markDown(p *netPeer, err error) {
 	if p.live.CompareAndSwap(true, false) {
 		p.setErr(err)
 		n.stats.Errors.Add(1)
+		n.pipe.DropMemo()
 	}
 }
 
@@ -432,7 +466,8 @@ func (n *Networked) revive(p *netPeer) {
 
 // replicate sends one write to every live peer at once and waits for
 // them all; the caller holds writeMu, so writes still reach each peer
-// in commit order. A transport failure takes that peer down. A
+// in commit order. A transport failure or a sequence gap (the peer
+// lost records it acknowledged) takes that peer down. Any other
 // WireError fails the write: validation ran locally first, so a peer
 // can only refuse a record it has diverged on — surface that loudly
 // rather than papering over it (the lowest refusing peer is returned
@@ -461,7 +496,7 @@ func (n *Networked) replicate(send func(context.Context, *netPeer) error) (*netP
 			continue
 		}
 		var we *transport.WireError
-		if !errors.As(err, &we) {
+		if !errors.As(err, &we) || errors.Is(err, transport.ErrSeqGap) {
 			n.markDown(n.peers[i], err)
 		} else if refuser == nil {
 			refuser, refusal = n.peers[i], err
@@ -477,6 +512,10 @@ func (n *Networked) commit(rec wal.Record, ownerKey string) error {
 	if err := n.local.ApplyRecord(rec); err != nil {
 		return err
 	}
+	// Runs after replicate returns, still under writeMu: a gather that
+	// overlapped the commit is refused, and one that starts after the
+	// drop reads only peers that applied rec.
+	defer n.pipe.DropMemo()
 	n.lastSeq.Store(rec.Seq)
 	n.journal.Append(rec)
 	refuser, err := n.replicate(func(ctx context.Context, p *netPeer) error {
@@ -536,6 +575,7 @@ func (n *Networked) AddDocument(id, title, body string) error {
 	if err := n.local.AddDocument(id, title, body); err != nil {
 		return err
 	}
+	defer n.pipe.DropMemo() // the commit fence
 	n.docs = append(n.docs, docEntry{id: id, title: title, body: body})
 	refuser, err := n.replicate(func(ctx context.Context, p *netPeer) error {
 		return p.client.Document(ctx, id, title, body)
@@ -555,11 +595,16 @@ func (n *Networked) AddDocument(id, title, body string) error {
 // Stats summarizes system contents from the local replica.
 func (n *Networked) Stats() fairhealth.Stats { return n.local.Stats() }
 
-// CacheStats reports the local replica's caches. Peer caches are
-// remote state; their traffic shows up in their own processes'
-// /v1/stats when workers also serve HTTP, and the transport section
-// here covers the wire instead.
-func (n *Networked) CacheStats() fairhealth.CacheStats { return n.local.CacheStats() }
+// CacheStats reports the local replica's similarity and peer caches
+// and the coordinator's own group memo. Peer caches are remote state;
+// their traffic shows up in their own processes' /v1/stats when
+// workers also serve HTTP, and the transport section here covers the
+// wire instead.
+func (n *Networked) CacheStats() fairhealth.CacheStats {
+	cs := n.local.CacheStats()
+	cs.Groups = n.pipe.MemoStats()
+	return cs
+}
 
 // CandidateIndexStats reports the local replica's candidate index.
 func (n *Networked) CandidateIndexStats() (candidates.Stats, bool) {

@@ -142,6 +142,38 @@ func TestApplyAndSeqDedup(t *testing.T) {
 	}
 }
 
+// A record past the next expected seq is refused with ErrSeqGap across
+// the wire and leaves the replica untouched: a worker restarted empty
+// must not apply a live write over the records it lost.
+func TestApplyAndCatchupRefuseSeqGap(t *testing.T) {
+	fb := &fakeBackend{}
+	cl := startServer(t, fb, "fp", ClientOptions{})
+	ctx := context.Background()
+
+	rec := func(seq uint64) wal.Record {
+		return wal.Record{Seq: seq, Op: wal.OpRate, User: "u1", Item: "d1", Value: 4}
+	}
+	if err := cl.Apply(ctx, rec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Apply(ctx, rec(3)); !errors.Is(err, ErrSeqGap) {
+		t.Fatalf("apply seq 3 after 1: %v, want ErrSeqGap", err)
+	}
+	if _, err := cl.Catchup(ctx, []wal.Record{rec(2), rec(4)}); !errors.Is(err, ErrSeqGap) {
+		t.Fatalf("catch-up 2,4 after 1: %v, want ErrSeqGap", err)
+	}
+	seq, _, err := cl.Hello(ctx, "fp")
+	if err != nil || seq != 2 {
+		t.Fatalf("applied seq after the refusals: %d, %v; want 2", seq, err)
+	}
+	fb.mu.Lock()
+	n := len(fb.applied)
+	fb.mu.Unlock()
+	if n != 2 {
+		t.Fatalf("backend applied %d records, want 2", n)
+	}
+}
+
 func TestCatchupAppliesAndDedups(t *testing.T) {
 	fb := &fakeBackend{}
 	cl := startServer(t, fb, "fp", ClientOptions{})
@@ -430,6 +462,12 @@ func TestConcurrentCalls(t *testing.T) {
 	cl := startServer(t, fb, "fp", ClientOptions{PoolSize: 2})
 	ctx := context.Background()
 
+	// Apply refuses sequence gaps, so writers draw contiguous seqs
+	// under a lock held across the call, as a coordinator's commit does.
+	var (
+		applyMu sync.Mutex
+		nextSeq uint64
+	)
 	var wg sync.WaitGroup
 	errs := make(chan error, 200)
 	for i := 0; i < 20; i++ {
@@ -445,7 +483,10 @@ func TestConcurrentCalls(t *testing.T) {
 					_, err := cl.Recommend(ctx, "u1", 3)
 					errs <- err
 				case 2:
-					errs <- cl.Apply(ctx, wal.Record{Seq: uint64(1000 + i*10 + j), Op: wal.OpRate, User: "u1", Item: "d1", Value: 1})
+					applyMu.Lock()
+					nextSeq++
+					errs <- cl.Apply(ctx, wal.Record{Seq: nextSeq, Op: wal.OpRate, User: "u1", Item: "d1", Value: 1})
+					applyMu.Unlock()
 				}
 			}
 		}(i)

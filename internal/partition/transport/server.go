@@ -46,7 +46,8 @@ type Server struct {
 
 	// appliedSeq is the highest WAL sequence applied through this
 	// server (Apply or Catchup) — the Hello answer a coordinator uses
-	// to size catch-up shipping.
+	// to size catch-up shipping. Records apply strictly in sequence: a
+	// duplicate is acknowledged, a gap refused with ErrSeqGap.
 	appliedSeq atomic.Uint64
 	// applyMu serializes state writes so catch-up blocks and live
 	// applies cannot interleave out of order.
@@ -222,6 +223,19 @@ func (sc *serverConn) handle(f frame) (byte, []byte, func()) {
 	return statusOK, payload, release
 }
 
+// applyNext applies rec, which must be the record right after the
+// applied seq (ErrSeqGap otherwise). The caller holds applyMu.
+func (s *Server) applyNext(rec wal.Record) error {
+	if applied := s.appliedSeq.Load(); rec.Seq != applied+1 {
+		return fmt.Errorf("%w: record %d after applied %d", ErrSeqGap, rec.Seq, applied)
+	}
+	if err := s.backend.ApplyRecord(rec); err != nil {
+		return err
+	}
+	s.appliedSeq.Store(rec.Seq)
+	return nil
+}
+
 func (sc *serverConn) dispatch(ctx context.Context, f frame) ([]byte, func(), error) {
 	s := sc.srv
 	switch f.op {
@@ -246,11 +260,7 @@ func (sc *serverConn) dispatch(ctx context.Context, f frame) ([]byte, func(), er
 		if rec.Seq <= s.appliedSeq.Load() {
 			return nil, nil, nil // duplicate delivery (rejoin race): already applied
 		}
-		if err := s.backend.ApplyRecord(rec); err != nil {
-			return nil, nil, err
-		}
-		s.appliedSeq.Store(rec.Seq)
-		return nil, nil, nil
+		return nil, nil, s.applyNext(rec)
 
 	case opCatchup:
 		recs, err := readCatchup(f.payload)
@@ -263,10 +273,9 @@ func (sc *serverConn) dispatch(ctx context.Context, f frame) ([]byte, func(), er
 			if rec.Seq <= s.appliedSeq.Load() {
 				continue
 			}
-			if err := s.backend.ApplyRecord(rec); err != nil {
+			if err := s.applyNext(rec); err != nil {
 				return nil, nil, err
 			}
-			s.appliedSeq.Store(rec.Seq)
 		}
 		return binary.BigEndian.AppendUint64(nil, s.appliedSeq.Load()), nil, nil
 

@@ -70,6 +70,7 @@ const (
 	errCanceled       byte = 7
 	errTooManyCombos  byte = 8
 	errConfigMismatch byte = 9
+	errSeqGap         byte = 10
 )
 
 // ErrConfigMismatch reports a Hello from a coordinator whose effective
@@ -77,6 +78,12 @@ const (
 // that divide would silently break bit-identity, so the handshake
 // refuses it.
 var ErrConfigMismatch = errors.New("transport: peer config mismatch")
+
+// ErrSeqGap reports a replicated record whose sequence is not the next
+// one the worker expects. A worker restarted empty on its old address
+// refuses its first record this way, instead of silently applying it
+// over missing state; the coordinator then takes it down for catch-up.
+var ErrSeqGap = errors.New("transport: record sequence gap")
 
 const (
 	frameHeaderLen = 4 + 8 + 1 + 1 + 8
@@ -120,6 +127,8 @@ func (e *WireError) Is(target error) bool {
 		return target == fairhealth.ErrTooManyCombinations
 	case errConfigMismatch:
 		return target == ErrConfigMismatch
+	case errSeqGap:
+		return target == ErrSeqGap
 	}
 	return false
 }
@@ -144,6 +153,8 @@ func codeFor(err error) byte {
 		return errTooManyCombos
 	case errors.Is(err, ErrConfigMismatch):
 		return errConfigMismatch
+	case errors.Is(err, ErrSeqGap):
+		return errSeqGap
 	}
 	return errGeneric
 }

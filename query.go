@@ -207,10 +207,47 @@ type Pipeline struct {
 	cfg   Config
 	src   MemberSource
 	width int
-	// memo is the group-input memo; only a System has one (its fence
-	// covers a single replica's writes).
+	// memo is the group-input memo (nil: every serve gathers). The
+	// engine that enables it owns its fence (see DropMemo).
 	memo *cache.Cache[string, string, groupInput]
 }
+
+// EnableMemo gives the pipeline a group-input memo under the
+// configuration's cache knobs (lease, entry and cost bounds). The
+// engine must then call DropMemo once every write has reached every
+// replica its source reads. DropMemo, MemoStats and Close need the
+// memo.
+func (p *Pipeline) EnableMemo() {
+	p.memo = cache.New[string, string, groupInput](cache.Config[string, groupInput]{
+		Hash:       func(k string) uint32 { return cache.FNV1a(k) },
+		TTL:        p.cfg.CacheTTL,
+		MaxEntries: p.cfg.CacheMaxEntries,
+		MaxCost:    p.cfg.CacheMaxCost,
+		Cost:       groupInputCost,
+	})
+}
+
+// DropMemo evicts every memoized group input and refuses the store of
+// any gather that started before it.
+func (p *Pipeline) DropMemo() { p.memo.EvictScopes([]string{groupScopeRatings}) }
+
+// MemoStats reports the memo's counters.
+func (p *Pipeline) MemoStats() CacheCounters {
+	st := p.memo.Stats()
+	return CacheCounters{
+		Hits:        st.Hits,
+		Misses:      st.Misses,
+		Evictions:   st.Evictions,
+		Expirations: st.Expirations,
+		Entries:     st.Entries,
+		Cost:        st.Cost,
+		TTLSeconds:  p.memo.TTL().Seconds(),
+		Ages:        ageHistogram(p.memo.AgeHistogram(ageBounds)),
+	}
+}
+
+// Close stops the memo's expiry sweep.
+func (p *Pipeline) Close() { p.memo.Close() }
 
 // NewPipeline builds the pipeline an engine with effective
 // configuration cfg serves through. Batches fan out, and a single
