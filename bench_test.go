@@ -630,14 +630,18 @@ func BenchmarkScorerServe(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned serving — fan-out/merge coordinator vs partition counts
+// Partitioned serving — the partition router over in-process workers
+// vs partition counts
 
 // BenchmarkPartitionedServe measures group serving through the
-// consistent-hash coordinator at 1, 2, and 4 partitions, in the same
-// three regimes BenchmarkScorerServe pins for a single system: warm
-// group caches, and cold after a write (replicated apply + owner-scoped
-// invalidation). partitions=1 vs BenchmarkScorerServe isolates the
-// coordinator's routing overhead; 2 vs 4 shows the fan-out scaling.
+// partition router over 1, 2, and 4 in-process workers, in the regimes
+// BenchmarkScorerServe pins for a single system. warm-group-cache is a
+// hit in the router's group-input memo, so it isolates the router's own
+// serve path (no worker is called). cold-after-write is a replicated
+// apply on the router's replica and every worker, then a gather from
+// the members' owners through transport.Local: partitions=1 vs
+// BenchmarkScorerServe isolates the routing overhead, and 2 vs 4 shows
+// the fan-out scaling.
 func BenchmarkPartitionedServe(b *testing.B) {
 	build := func(b *testing.B, n int) (*partition.Coordinator, []string, string) {
 		coord, err := partition.New(fairhealth.Config{Delta: 0.3, MinOverlap: 3, K: 8}, partition.Options{Partitions: n})

@@ -63,8 +63,8 @@ import (
 )
 
 // backend is what main needs from the serving engine: the HTTP surface
-// plus a clean shutdown. Both fairhealth.System and the partitioned
-// Coordinator satisfy it.
+// plus a clean shutdown. fairhealth.System and the partition router
+// (networked, or in process as partition.Coordinator) satisfy it.
 type backend interface {
 	httpapi.Backend
 	Close() error
@@ -87,7 +87,7 @@ func main() {
 	cacheAdaptEvery := flag.Duration("cache-adapt-every", 0, "cache TTL adaptation period (0 = 10s default when adaptation is enabled)")
 	candidateIndex := flag.Bool("candidate-index", false, "enable the cluster peer-candidate index (exact-mode prefilter + opt-in approx queries)")
 	candidateK := flag.Int("candidate-k", 0, "cluster count for the candidate index (0 = √n; needs -candidate-index)")
-	partitions := flag.Int("partitions", 0, "serve from N consistent-hash partitions behind a fan-out/merge coordinator (0 or 1 = unpartitioned)")
+	partitions := flag.Int("partitions", 0, "serve from N in-process consistent-hash partitions behind the partition router, the same router -partition-peers runs over the network (0 or 1 = unpartitioned)")
 	partitionListen := flag.String("partition-listen", "", "worker mode: serve the binary partition transport on this address instead of HTTP (pair with a coordinator started with -partition-peers)")
 	partitionPeers := flag.String("partition-peers", "", "coordinator mode: comma-separated worker transport addresses; group serving fans out to them over coalesced binary RPCs")
 	state := flag.String("state", "", "state directory for durable storage (empty = in-memory)")
@@ -129,12 +129,12 @@ func main() {
 		}
 		sys = coord
 	case *partitions > 1:
-		cfg.Partitions = *partitions
 		var coord *partition.Coordinator
+		opt := partition.Options{Partitions: *partitions}
 		if *state != "" {
-			coord, err = partition.NewPersistent(cfg, partition.Options{}, *state)
+			coord, err = partition.NewPersistent(cfg, opt, *state)
 		} else {
-			coord, err = partition.New(cfg, partition.Options{})
+			coord, err = partition.New(cfg, opt)
 		}
 		if err == nil {
 			st := coord.Stats()

@@ -178,8 +178,7 @@ func main() {
 			netCoord = coord
 			sys = coord
 		} else if *partitions > 1 {
-			sysCfg.Partitions = *partitions
-			coord, cerr := partition.New(sysCfg, partition.Options{})
+			coord, cerr := partition.New(sysCfg, partition.Options{Partitions: *partitions})
 			if cerr != nil {
 				logger.Fatalf("coordinator: %v", cerr)
 			}

@@ -250,14 +250,6 @@ type Config struct {
 	// ⌈√n⌉ at build time. Negative, or non-zero without
 	// CandidateIndex, is ErrBadConfig.
 	CandidateK int
-	// Partitions requests partitioned serving: users are consistent-
-	// hashed across this many in-process partitions behind a fan-out /
-	// merge coordinator (internal/partition, surfaced as iphrd
-	// -partitions). The System itself ignores the field — a single
-	// System IS one partition — it lives here so one Config describes a
-	// deployment end to end. 0 or 1 means unpartitioned; negative is
-	// ErrBadConfig.
-	Partitions int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -332,9 +324,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CandidateK > 0 && !c.CandidateIndex {
 		return c, fmt.Errorf("%w: candidate k set without CandidateIndex", ErrBadConfig)
-	}
-	if c.Partitions < 0 {
-		return c, fmt.Errorf("%w: partitions %d must be ≥ 0 (0 means unpartitioned)", ErrBadConfig, c.Partitions)
 	}
 	return c, nil
 }

@@ -70,10 +70,10 @@ import (
 
 // Backend is the serving surface the HTTP layer runs against — exactly
 // the methods the handlers call. *fairhealth.System implements it, and
-// so do *partition.Coordinator and *partition.Networked (all three
-// serve groups through one fairhealth.Pipeline), so one Server binary
-// serves an unpartitioned system or either partitioned deployment
-// unchanged.
+// so does the partition router, *partition.Networked, over remote or
+// (wrapped as *partition.Coordinator) in-process workers; both serve
+// groups through one fairhealth.Pipeline, so one Server binary serves
+// an unpartitioned system or either partitioned deployment unchanged.
 type Backend interface {
 	Stats() fairhealth.Stats
 	CacheStats() fairhealth.CacheStats

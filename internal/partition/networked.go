@@ -1,27 +1,29 @@
-// networked.go is partitioned serving across processes: the same
-// coordinator contract as coordinator.go, but the replicas are worker
-// iphrd processes reached over internal/partition/transport instead
-// of in-process Systems. The coordinator keeps one local full replica
-// of its own — validation, corpus-global reads, and journal bootstrap
-// all answer from it without a network hop — while the ring assigns
-// which *peer* computes (and cache-warms) each user's relevance.
+// networked.go is the partition router: one coordinator contract
+// over N workers, each a full System replica behind a
+// transport.Server. Remote workers (iphrd -partition-listen) are
+// reached by a transport.Client over TCP; in-process ones (New) by a
+// transport.Local, which calls the same server methods directly. The
+// router keeps one full replica of its own — validation, corpus-global
+// reads, and the member check all answer from it without a hop — while
+// the ring assigns which worker computes (and cache-warms) each user's
+// relevance.
 //
 // The serving hot path is coalesced: all members of a group owned by
-// the same peer travel in one Relevances RPC, so a group costs at
-// most one RPC per live peer, not one per member, and a memoized group
-// costs none. Writes commit to
-// the coordinator's journal and local replica first, then apply on
-// every live peer over the same transport; a peer that fails a
-// transport call, refuses a record as a sequence gap, or reports an
-// applied seq below what it acknowledged (a probe on every health
-// tick) is marked down, traffic reroutes via OwnerLive, and a
-// background health loop re-handshakes it and streams the journal gap
-// back in compressed blocks before returning it to the ring.
+// the same worker travel in one Relevances call, so a group costs at
+// most one call per live worker, not one per member, and a memoized
+// group costs none. Writes append to the optional log, commit to the
+// journal and the router's replica, then apply on every live worker; a
+// worker that fails a transport call, refuses a record as a sequence
+// gap, or reports an applied seq below what it acknowledged (a probe
+// on every health tick) is marked down, traffic reroutes via
+// OwnerLive, and a background health loop re-handshakes it and streams
+// the gap back in blocks (from the journal, or from the log past its
+// retention) before returning it to the ring.
 // Group queries run the same fairhealth.Pipeline a System runs; only
-// the member vectors come from the peers. Answers stay bit-identical
-// to one unpartitioned System: scores ship as raw float64 bit
-// patterns, and the merge, aggregation, lists and solve are the local
-// code.
+// the member vectors come from the workers. Answers stay bit-identical
+// to one unpartitioned System: scores cross the wire as raw float64
+// bit patterns, and the merge, aggregation, lists and solve are the
+// router's code.
 package partition
 
 import (
@@ -40,6 +42,16 @@ import (
 	"fairhealth/internal/partition/transport"
 	"fairhealth/internal/ratings"
 	"fairhealth/internal/wal"
+)
+
+// Common errors.
+var (
+	// ErrNoLivePartitions reports a query arriving while every
+	// partition is down, detached or killed.
+	ErrNoLivePartitions = errors.New("partition: no live partitions")
+	// ErrJournalGap reports a catch-up whose gap the journal no longer
+	// retains and no log file exists to fall back to.
+	ErrJournalGap = errors.New("partition: journal no longer retains the catch-up gap")
 )
 
 // NetOptions tunes a networked coordinator.
@@ -98,8 +110,7 @@ func (o NetOptions) withDefaults() NetOptions {
 // configuration — every knob that changes served answers — so the
 // Hello handshake can refuse a worker whose results would diverge
 // from the coordinator's local replica. Deployment knobs (workers,
-// cache tuning, partition count) stay out: they change performance,
-// never answers.
+// cache tuning) stay out: they change performance, never answers.
 func ConfigFingerprint(cfg fairhealth.Config) string {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	return strings.Join([]string{
@@ -116,14 +127,32 @@ func ConfigFingerprint(cfg fairhealth.Config) string {
 	}, "|")
 }
 
-// netPeer is one remote worker: its client, liveness, and the same
-// per-partition counters the in-process node keeps.
+// peerClient is how the router reaches one worker: a
+// *transport.Client over the wire, or a *transport.Local in process.
+type peerClient interface {
+	Hello(ctx context.Context, fingerprint string) (appliedSeq uint64, docs int, err error)
+	Apply(ctx context.Context, rec wal.Record) error
+	Catchup(ctx context.Context, recs []wal.Record) (appliedSeq uint64, err error)
+	Document(ctx context.Context, id, title, body string) error
+	Relevances(ctx context.Context, scorer string, approx bool, members []model.UserID, out []map[model.ItemID]float64) error
+	Recommend(ctx context.Context, user string, k int) ([]fairhealth.Recommendation, error)
+	PeersOf(ctx context.Context, user string) ([]fairhealth.Peer, error)
+	SearchPersonalized(ctx context.Context, user, query string, k int, boost float64) ([]fairhealth.SearchResult, error)
+	Conns() int
+	Close() error
+}
+
+// netPeer is one worker: its client, liveness, and per-partition
+// counters.
 type netPeer struct {
 	addr   string
-	client *transport.Client
+	client peerClient
 
 	live       atomic.Bool
 	appliedSeq atomic.Uint64
+	// held keeps a detached or killed in-process worker out of the
+	// health loop's revive round until Rejoin or Restart.
+	held atomic.Bool
 
 	assembles     atomic.Uint64
 	routedQueries atomic.Uint64
@@ -144,9 +173,10 @@ func (p *netPeer) setErr(err error) {
 	p.errMu.Unlock()
 }
 
-// Networked fans group serving out across remote worker processes.
-// It satisfies the same httpapi.Backend seam as System and the
-// in-process Coordinator.
+// Networked is the partition router: it fans group serving out across
+// its workers, remote (NewNetworked) or in process (New, which wraps
+// it in a Coordinator). It satisfies the same httpapi.Backend seam as
+// System.
 type Networked struct {
 	cfg         fairhealth.Config
 	fingerprint string
@@ -161,8 +191,15 @@ type Networked struct {
 	peers   []*netPeer
 	stats   transport.Stats
 
-	// writeMu serializes the commit path (sequence assignment, local
-	// apply, journal append, replication) and guards docs.
+	// walLog, when set, is the durable log every commit appends to
+	// before applying, and walPath the file catch-up replays past the
+	// journal's retention.
+	walLog  *wal.Log
+	walPath string
+
+	// writeMu serializes the commit path (log append, sequence
+	// assignment, local apply, journal append, replication) and guards
+	// docs.
 	writeMu sync.Mutex
 	lastSeq atomic.Uint64
 	docs    []docEntry
@@ -193,85 +230,98 @@ func NewNetworked(cfg fairhealth.Config, addrs []string, opt NetOptions) (*Netwo
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("%w: networked coordinator needs at least one peer", fairhealth.ErrBadConfig)
 	}
+	// A batch fans out two queries per peer: enough to keep every
+	// peer's pipelined connections busy without nesting pools.
+	n, err := newRouter(cfg, len(addrs), opt, 0, 2*len(addrs))
+	if err != nil {
+		return nil, err
+	}
+	for i, addr := range addrs {
+		n.peers[i] = &netPeer{
+			addr: addr,
+			client: transport.NewClient(addr, transport.ClientOptions{
+				PoolSize:    n.opt.PoolSize,
+				DialTimeout: n.opt.DialTimeout,
+				Stats:       &n.stats,
+			}),
+		}
+	}
+	if err := n.start(); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// newRouter builds a router for `peers` workers — its own replica, the
+// ring, the journal (retaining at most retain records, 0 = unbounded)
+// and the memoized pipeline, serving batches `width` queries at a time
+// — and leaves the peers for the caller to fill before start.
+func newRouter(cfg fairhealth.Config, peers int, opt NetOptions, retain, width int) (*Networked, error) {
 	opt = opt.withDefaults()
 	local, err := fairhealth.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	eff := local.Config()
-	eff.Partitions = len(addrs)
 	n := &Networked{
 		cfg:         eff,
 		fingerprint: ConfigFingerprint(eff),
 		opt:         opt,
 		local:       local,
-		ring:        NewRing(len(addrs), opt.VirtualNodes),
-		journal:     NewJournal(0), // unbounded: the rejoin bootstrap source
+		ring:        NewRing(peers, opt.VirtualNodes),
+		journal:     NewJournal(retain),
+		peers:       make([]*netPeer, peers),
 		healthDone:  make(chan struct{}),
 	}
-	// A batch fans out two queries per peer: enough to keep every
-	// peer's pipelined connections busy without nesting pools.
-	n.pipe = fairhealth.NewPipeline(eff, peerMembers{n}, 2*len(addrs))
+	n.pipe = fairhealth.NewPipeline(eff, peerMembers{n}, width)
 	n.pipe.EnableMemo()
-	n.peers = make([]*netPeer, len(addrs))
-	for i, addr := range addrs {
-		n.peers[i] = &netPeer{
-			addr: addr,
-			client: transport.NewClient(addr, transport.ClientOptions{
-				PoolSize:    opt.PoolSize,
-				DialTimeout: opt.DialTimeout,
-				Stats:       &n.stats,
-			}),
-		}
-	}
-	// One synchronous connect round so a fully-wired deployment
-	// serves immediately and a dead-on-arrival address list errors
-	// out instead of limping.
+	return n, nil
+}
+
+// start runs one synchronous connect round, so a fully-wired
+// deployment serves immediately and a dead-on-arrival one errors out
+// instead of limping, then starts the health loop. On error the
+// router is closed.
+func (n *Networked) start() error {
 	var wg sync.WaitGroup
 	for _, p := range n.peers {
 		wg.Add(1)
 		go func(p *netPeer) {
 			defer wg.Done()
-			n.revive(p)
+			if err := n.revive(p); err != nil {
+				n.bumpBackoff(p, err)
+			}
 		}(p)
 	}
 	wg.Wait()
-	if live, _ := n.liveCount(); live == 0 {
+	if n.LiveCount() == 0 {
 		errs := make([]string, 0, len(n.peers))
 		for _, p := range n.peers {
 			p.errMu.Lock()
 			errs = append(errs, p.addr+": "+p.lastErr)
 			p.errMu.Unlock()
 		}
-		n.closePeers()
-		n.pipe.Close()
-		local.Close()
-		return nil, fmt.Errorf("partition: no reachable peers (%s)", strings.Join(errs, "; "))
+		n.close()
+		return fmt.Errorf("partition: no reachable peers (%s)", strings.Join(errs, "; "))
 	}
 	n.healthWG.Add(1)
 	go n.healthLoop()
-	return n, nil
+	return nil
 }
 
-func (n *Networked) liveCount() (live, total int) {
+// LiveCount reports how many peers currently pass health checks.
+func (n *Networked) LiveCount() (live int) {
 	for _, p := range n.peers {
 		if p.live.Load() {
 			live++
 		}
 	}
-	return live, len(n.peers)
-}
-
-// LiveCount reports how many peers currently pass health checks.
-func (n *Networked) LiveCount() int {
-	live, _ := n.liveCount()
 	return live
 }
 
 func (n *Networked) peerLive(i int) bool { return n.peers[i].live.Load() }
 
-// Config reports the effective configuration (Partitions = peer
-// count).
+// Config reports the effective configuration.
 func (n *Networked) Config() fairhealth.Config { return n.cfg }
 
 // PartitionCount reports the peer count.
@@ -281,23 +331,32 @@ func (n *Networked) PartitionCount() int { return len(n.peers) }
 // liveness) — loadgen's per-partition latency labeling.
 func (n *Networked) Owner(user string) int { return n.ring.Owner(user) }
 
-func (n *Networked) closePeers() {
-	for _, p := range n.peers {
-		p.client.Close()
-	}
-}
-
 // Close stops the health loop, closes every peer connection, and
-// releases the local replica.
+// releases the local replica and the log.
 func (n *Networked) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
 		close(n.healthDone)
 		n.healthWG.Wait()
-		n.closePeers()
-		n.pipe.Close()
-		err = n.local.Close()
+		err = n.close()
 	})
+	return err
+}
+
+// close releases everything but the health loop.
+func (n *Networked) close() error {
+	for _, p := range n.peers {
+		if p != nil { // a worker that failed to build
+			p.client.Close()
+		}
+	}
+	n.pipe.Close()
+	err := n.local.Close()
+	if n.walLog != nil {
+		if werr := n.walLog.Close(); err == nil {
+			err = werr
+		}
+	}
 	return err
 }
 
@@ -317,10 +376,17 @@ func (n *Networked) healthLoop() {
 			return
 		case <-tick.C:
 			for _, p := range n.peers {
-				if p.live.Load() {
+				switch {
+				case p.live.Load():
 					n.probe(p)
-				} else {
-					n.revive(p)
+				case p.held.Load(), time.Now().Before(p.backoffUntil):
+				default:
+					if err := n.revive(p); err != nil {
+						n.bumpBackoff(p, err)
+						continue
+					}
+					p.fails = 0
+					p.backoffUntil = time.Time{}
 				}
 			}
 		}
@@ -362,20 +428,15 @@ func (n *Networked) bumpBackoff(p *netPeer, err error) {
 	p.backoffUntil = time.Now().Add(n.opt.BackoffBase << (p.fails - 1))
 }
 
-// revive attempts to bring one down peer back: handshake, document
-// replay, journal catch-up (off the write lock, in compressed
-// blocks), then the final delta under the write lock so the peer is
-// exactly current the instant it turns live.
-func (n *Networked) revive(p *netPeer) {
-	if time.Now().Before(p.backoffUntil) {
-		return
-	}
+// revive brings one down peer back: handshake, document replay and
+// catch-up off the write lock, then the final delta under it, so the
+// peer is exactly current the instant it turns live.
+func (n *Networked) revive(p *netPeer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
-	defer cancel()
 	seq, docCount, err := p.client.Hello(ctx, n.fingerprint)
+	cancel()
 	if err != nil {
-		n.bumpBackoff(p, err)
-		return
+		return err
 	}
 	p.appliedSeq.Store(seq)
 
@@ -384,95 +445,116 @@ func (n *Networked) revive(p *netPeer) {
 	n.writeMu.Unlock()
 	shipped := len(docs)
 	if docCount < len(docs) {
-		for _, d := range docs[docCount:] {
-			dctx, dcancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
-			err := p.client.Document(dctx, d.id, d.title, d.body)
-			dcancel()
-			if err != nil {
-				n.bumpBackoff(p, err)
-				return
-			}
+		if err := n.shipDocs(p, docs[docCount:]); err != nil {
+			return err
 		}
 	}
-
-	// Stream the journal gap without holding up writes; each block is
-	// compressed on the wire and the worker reports its new applied
-	// sequence, so a stalled peer cannot loop forever.
-	for {
-		cur := p.appliedSeq.Load()
-		if cur >= n.lastSeq.Load() {
-			break
-		}
-		recs, ok := n.journal.Since(cur)
-		if !ok {
-			n.bumpBackoff(p, ErrJournalGap)
-			return
-		}
-		if len(recs) > n.opt.CatchupBlock {
-			recs = recs[:n.opt.CatchupBlock]
-		}
-		cctx, ccancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
-		applied, err := p.client.Catchup(cctx, recs)
-		ccancel()
-		if err != nil {
-			n.bumpBackoff(p, err)
-			return
-		}
-		if applied <= cur {
-			n.bumpBackoff(p, fmt.Errorf("partition: catch-up made no progress at seq %d", cur))
-			return
-		}
-		p.appliedSeq.Store(applied)
+	if err := n.catchUp(p); err != nil {
+		return err
 	}
 
 	// Final delta under the write lock: no record or document can
 	// slip between this block and the live flip.
 	n.writeMu.Lock()
 	defer n.writeMu.Unlock()
-	for _, d := range n.docs[shipped:] {
-		dctx, dcancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
-		err := p.client.Document(dctx, d.id, d.title, d.body)
-		dcancel()
-		if err != nil {
-			n.bumpBackoff(p, err)
-			return
-		}
+	if err := n.shipDocs(p, n.docs[shipped:]); err != nil {
+		return err
 	}
-	if cur := p.appliedSeq.Load(); cur < n.lastSeq.Load() {
-		recs, ok := n.journal.Since(cur)
-		if !ok {
-			n.bumpBackoff(p, ErrJournalGap)
-			return
-		}
-		fctx, fcancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
-		applied, err := p.client.Catchup(fctx, recs)
-		fcancel()
-		if err != nil {
-			n.bumpBackoff(p, err)
-			return
-		}
-		p.appliedSeq.Store(applied)
+	if err := n.catchUp(p); err != nil {
+		return err
 	}
-	p.fails = 0
-	p.backoffUntil = time.Time{}
 	p.live.Store(true)
+	return nil
+}
+
+func (n *Networked) shipDocs(p *netPeer, docs []docEntry) error {
+	for _, d := range docs {
+		ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
+		err := p.client.Document(ctx, d.id, d.title, d.body)
+		cancel()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// catchUp ships p every record after its applied seq, in blocks of
+// CatchupBlock: from the journal while it covers the gap, otherwise in
+// one pass over the log file.
+func (n *Networked) catchUp(p *netPeer) error {
+	cur := p.appliedSeq.Load()
+	if cur >= n.lastSeq.Load() {
+		return nil
+	}
+	if recs, ok := n.journal.Since(cur); ok {
+		for len(recs) > 0 {
+			k := min(len(recs), n.opt.CatchupBlock)
+			if err := n.shipBlock(p, recs[:k]); err != nil {
+				return err
+			}
+			recs = recs[k:]
+		}
+		return nil
+	}
+	if n.walPath == "" {
+		return fmt.Errorf("%w: need records after seq %d, journal starts at %d",
+			ErrJournalGap, cur, n.journal.OldestSeq())
+	}
+	// Filtered replay skips every applied record without decoding its
+	// payload. A record whose append lands mid-pass may be cut off at
+	// the end; the caller's next catchUp ships it.
+	block := make([]wal.Record, 0, n.opt.CatchupBlock)
+	_, _, err := wal.ReplayFileIf(n.walPath, wal.SeqAfter(cur), func(rec wal.Record) error {
+		if block = append(block, rec); len(block) < n.opt.CatchupBlock {
+			return nil
+		}
+		err := n.shipBlock(p, block)
+		block = block[:0]
+		return err
+	})
+	if err == nil && len(block) > 0 {
+		err = n.shipBlock(p, block)
+	}
+	if err != nil {
+		return fmt.Errorf("partition: log catch-up: %w", err)
+	}
+	return nil
+}
+
+// shipBlock applies one block on p. The worker reports its new applied
+// sequence, so a stalled peer cannot loop forever.
+func (n *Networked) shipBlock(p *netPeer, recs []wal.Record) error {
+	cur := p.appliedSeq.Load()
+	ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
+	applied, err := p.client.Catchup(ctx, recs)
+	cancel()
+	if err != nil {
+		return err
+	}
+	if applied <= cur {
+		return fmt.Errorf("partition: catch-up made no progress at seq %d", cur)
+	}
+	p.appliedSeq.Store(applied)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
-// write path: validate against the local replica → assign a sequence →
+// write path: validate against the local replica → append to the log →
 // apply locally → journal → replicate to every live peer. A peer that
 // fails replication goes down and converges through catch-up, so the
 // write itself never fails on peer loss.
 
-// replicate sends one write to every live peer at once and waits for
-// them all; the caller holds writeMu, so writes still reach each peer
-// in commit order. A transport failure or a sequence gap (the peer
-// lost records it acknowledged) takes that peer down. Any other
-// WireError fails the write: validation ran locally first, so a peer
-// can only refuse a record it has diverged on — surface that loudly
-// rather than papering over it (the lowest refusing peer is returned
-// with its error, so the report does not depend on which reply arrived
-// first).
+// replicate sends one write to every live peer and waits for them all;
+// the caller holds writeMu, so writes still reach each peer in commit
+// order. Remote sends run at once; an in-process send runs on this
+// goroutine, where a spawned one would queue behind CPU-bound serves.
+// A transport failure or a sequence gap (the peer lost records it
+// acknowledged) takes that peer down. Any other WireError fails the
+// write: validation ran locally first, so a peer can only refuse a
+// record it has diverged on — surface that loudly rather than
+// papering over it (the lowest refusing peer is returned with its
+// error, so the report does not depend on which reply arrived first).
 func (n *Networked) replicate(send func(context.Context, *netPeer) error) (*netPeer, error) {
 	errs := make([]error, len(n.peers))
 	var wg sync.WaitGroup
@@ -480,13 +562,18 @@ func (n *Networked) replicate(send func(context.Context, *netPeer) error) (*netP
 		if !p.live.Load() {
 			continue
 		}
+		if _, inline := p.client.(*transport.Local); inline {
+			// No wire, so nothing to time out.
+			errs[i] = send(context.Background(), p)
+			continue
+		}
 		wg.Add(1)
-		go func() {
+		go func(i int, p *netPeer) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
 			defer cancel()
 			errs[i] = send(ctx, p)
-		}()
+		}(i, p)
 	}
 	wg.Wait()
 	var refuser *netPeer
@@ -509,6 +596,13 @@ func (n *Networked) commit(rec wal.Record, ownerKey string) error {
 	n.writeMu.Lock()
 	defer n.writeMu.Unlock()
 	rec.Seq = n.lastSeq.Load() + 1
+	if n.walLog != nil {
+		seq, err := n.walLog.Append(rec)
+		if err != nil {
+			return err
+		}
+		rec.Seq = seq
+	}
 	if err := n.local.ApplyRecord(rec); err != nil {
 		return err
 	}
@@ -631,14 +725,14 @@ func (n *Networked) ProfileCorrespondences(a, b string) ([]fairhealth.Correspond
 // Recommend returns the user's personal top-k, computed on the owning
 // peer.
 func (n *Networked) Recommend(user string, k int) ([]fairhealth.Recommendation, error) {
-	return routeUser(n, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.Recommendation, error) {
+	return routeUser(n, user, func(ctx context.Context, c peerClient) ([]fairhealth.Recommendation, error) {
 		return c.Recommend(ctx, user, k)
 	})
 }
 
 // Peers returns the user's peer set, computed on the owning peer.
 func (n *Networked) Peers(user string) ([]fairhealth.Peer, error) {
-	return routeUser(n, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.Peer, error) {
+	return routeUser(n, user, func(ctx context.Context, c peerClient) ([]fairhealth.Peer, error) {
 		return c.PeersOf(ctx, user)
 	})
 }
@@ -646,7 +740,7 @@ func (n *Networked) Peers(user string) ([]fairhealth.Peer, error) {
 // SearchPersonalized searches with the user's profile boost, on the
 // owning peer.
 func (n *Networked) SearchPersonalized(user, query string, k int, boost float64) ([]fairhealth.SearchResult, error) {
-	return routeUser(n, user, func(ctx context.Context, c *transport.Client) ([]fairhealth.SearchResult, error) {
+	return routeUser(n, user, func(ctx context.Context, c peerClient) ([]fairhealth.SearchResult, error) {
 		return c.SearchPersonalized(ctx, user, query, k, boost)
 	})
 }
@@ -655,7 +749,7 @@ func (n *Networked) SearchPersonalized(user, query string, k int, boost float64)
 // attempt bounded by CallTimeout, rerouting past peers that fail at the
 // transport level (application errors return immediately — every
 // replica would answer the same).
-func routeUser[T any](n *Networked, user string, call func(context.Context, *transport.Client) (T, error)) (T, error) {
+func routeUser[T any](n *Networked, user string, call func(context.Context, peerClient) (T, error)) (T, error) {
 	var zero T
 	for attempt := 0; attempt <= len(n.peers); attempt++ {
 		part, ok := n.ring.OwnerLive(user, n.peerLive)
@@ -754,39 +848,49 @@ func (n *Networked) assembleRemote(ctx context.Context, scorer string, approx bo
 			appErr error
 			failed []int
 		)
-		for part, idxs := range byOwner {
-			wg.Add(1)
-			go func(part int, idxs []int) {
-				defer wg.Done()
-				p := n.peers[part]
-				members := make([]model.UserID, len(idxs))
+		fetch := func(part int, idxs []int) {
+			p := n.peers[part]
+			members := make([]model.UserID, len(idxs))
+			for j, idx := range idxs {
+				members[j] = g[idx]
+			}
+			out := make([]map[model.ItemID]float64, len(idxs))
+			err := p.client.Relevances(ctx, scorer, approx, members, out)
+			mu.Lock()
+			defer mu.Unlock()
+			if err == nil {
+				p.assembles.Add(uint64(len(idxs)))
 				for j, idx := range idxs {
-					members[j] = g[idx]
+					maps[idx] = out[j]
 				}
-				out := make([]map[model.ItemID]float64, len(idxs))
-				err := p.client.Relevances(ctx, scorer, approx, members, out)
-				mu.Lock()
-				defer mu.Unlock()
-				if err == nil {
-					p.assembles.Add(uint64(len(idxs)))
-					for j, idx := range idxs {
-						maps[idx] = out[j]
-					}
-					return
+				return
+			}
+			var we *transport.WireError
+			if errors.As(err, &we) || ctx.Err() != nil {
+				// Application failure (or our own deadline):
+				// deterministic on every replica, so rerouting
+				// cannot help.
+				if appErr == nil {
+					appErr = err
 				}
-				var we *transport.WireError
-				if errors.As(err, &we) || ctx.Err() != nil {
-					// Application failure (or our own deadline):
-					// deterministic on every replica, so rerouting
-					// cannot help.
-					if appErr == nil {
-						appErr = err
-					}
-					return
-				}
-				n.markDown(p, err)
-				failed = append(failed, idxs...)
-			}(part, idxs)
+				return
+			}
+			n.markDown(p, err)
+			failed = append(failed, idxs...)
+		}
+		// The last batch runs on this goroutine, which would otherwise
+		// only wait.
+		left := len(byOwner)
+		for part, idxs := range byOwner {
+			if left--; left == 0 {
+				fetch(part, idxs)
+				break
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fetch(part, idxs)
+			}()
 		}
 		wg.Wait()
 		if appErr != nil {
@@ -800,9 +904,39 @@ func (n *Networked) assembleRemote(ctx context.Context, scorer string, approx bo
 // ---------------------------------------------------------------------------
 // stats
 
-// PartitionStats reports one row per peer — the same shape the
-// in-process coordinator serves, with ownership computed from the
-// local replica's membership.
+// Stats is one partition's row in the /v1/stats partitions section.
+type Stats struct {
+	// ID is the partition index on the ring.
+	ID int `json:"id"`
+	// Live reports whether the partition serves and replicates.
+	Live bool `json:"live"`
+	// OwnedUsers counts known users (raters or registered patients)
+	// the ring places on this partition.
+	OwnedUsers int `json:"owned_users"`
+	// VirtualNodes is the partition's virtual node count on the ring.
+	VirtualNodes int `json:"virtual_nodes"`
+	// RingShare is the fraction of the hash space the partition owns —
+	// its ring position summed into the expected user share.
+	RingShare float64 `json:"ring_share"`
+	// AppliedSeq is the last WAL sequence number applied here.
+	AppliedSeq uint64 `json:"applied_seq"`
+	// ReplayLag is how many records behind the shared log the
+	// partition is (> 0 only while detached or catching up).
+	ReplayLag uint64 `json:"replay_lag"`
+	// Assembles counts per-member relevance assemblies fanned out to
+	// this partition by group queries.
+	Assembles uint64 `json:"fan_outs"`
+	// RoutedQueries counts single-user reads routed here (personal
+	// recommendations, peer and personalized-search lookups).
+	RoutedQueries uint64 `json:"routed_queries"`
+	// OwnedWrites counts WAL records whose subject user this partition
+	// owned at commit time.
+	OwnedWrites uint64 `json:"owned_writes"`
+}
+
+// PartitionStats reports one row per peer — ownership, replication
+// lag, and fan-out counters, with ownership computed from the local
+// replica's membership.
 func (n *Networked) PartitionStats() []Stats {
 	last := n.lastSeq.Load()
 	owned := make([]int, len(n.peers))

@@ -1,7 +1,8 @@
-// Package partition scales serving out across N in-process System
-// partitions behind a fan-out/merge Coordinator — the in-process
-// milestone of the ROADMAP's scale-out direction (the paper's platform,
-// §II, assumes a backing store larger than one node's memory).
+// Package partition scales serving out across N System partitions
+// behind one fan-out/merge router (Networked), whose workers are
+// remote processes or, through Coordinator, in-process Systems (the
+// paper's platform, §II, assumes a backing store larger than one
+// node's memory).
 //
 // Placement is a consistent-hash ring with virtual nodes: each user is
 // owned by one partition, deterministically, and adding or removing a
@@ -16,9 +17,7 @@
 // candidate scores) is what dominates memory at scale, and it
 // materializes only on the owner; the coordinator fans a group query's
 // per-member assembly out to each member's owner and merges, so
-// answers stay bit-identical to a single unpartitioned System. The
-// over-the-network hop — true state sharding behind the same seam — is
-// the stated follow-up.
+// answers stay bit-identical to a single unpartitioned System.
 package partition
 
 import (

@@ -266,7 +266,7 @@ func appendRelevancesReq(dst []byte, scorer string, approx bool, members []model
 	return dst
 }
 
-func readRelevancesReq(b []byte) (scorer string, approx bool, members []string, err error) {
+func readRelevancesReq(b []byte) (scorer string, approx bool, members []model.UserID, err error) {
 	c := cursor{b: b}
 	scorer = c.str()
 	approx = c.byte() != 0
@@ -275,9 +275,9 @@ func readRelevancesReq(b []byte) (scorer string, approx bool, members []string, 
 		c.fail()
 		return "", false, nil, c.err
 	}
-	members = make([]string, 0, n)
+	members = make([]model.UserID, 0, n)
 	for i := uint64(0); i < n; i++ {
-		members = append(members, c.str())
+		members = append(members, model.UserID(c.str()))
 	}
 	return scorer, approx, members, c.err
 }

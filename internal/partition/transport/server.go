@@ -4,7 +4,9 @@
 // pipelining contract. Writes back to the connection serialize on a
 // per-connection mutex; everything else runs concurrently against the
 // backend System, whose own locking already serves concurrent HTTP
-// traffic in unpartitioned deployments.
+// traffic in unpartitioned deployments. The protocol's semantics live
+// in the Server's op methods; the wire only decodes, calls one and
+// encodes, and Local calls the same methods in process.
 package transport
 
 import (
@@ -38,8 +40,9 @@ type Backend interface {
 	Stats() fairhealth.Stats
 }
 
-// Server answers the transport protocol over a listener. One Server
-// fronts one replica (worker process mode of cmd/iphrd).
+// Server answers the transport protocol for one replica: over a
+// listener (worker process mode of cmd/iphrd), or in process through
+// a Local.
 type Server struct {
 	backend     Backend
 	fingerprint string
@@ -67,25 +70,12 @@ type Server struct {
 // requests carrying a different one are refused, because mixed
 // configs would silently break the bit-identity contract.
 func NewServer(backend Backend, fingerprint string) *Server {
-	s := &Server{
+	return &Server{
 		backend:     backend,
 		fingerprint: fingerprint,
 		conns:       make(map[net.Conn]struct{}),
 	}
-	// A worker restarted over durable state already holds applied
-	// records; it reports zero here (transport servers are started on
-	// fresh or WAL-bootstrapped systems whose seq the caller seeds via
-	// SetAppliedSeq when it knows better).
-	return s
 }
-
-// SetAppliedSeq seeds the applied-sequence gauge, for workers started
-// over pre-loaded state.
-func (s *Server) SetAppliedSeq(seq uint64) { s.appliedSeq.Store(seq) }
-
-// AppliedSeq reports the highest WAL sequence applied via this
-// server.
-func (s *Server) AppliedSeq() uint64 { return s.appliedSeq.Load() }
 
 // Serve accepts connections on ln until Close. It blocks; run it in a
 // goroutine.
@@ -236,6 +226,60 @@ func (s *Server) applyNext(rec wal.Record) error {
 	return nil
 }
 
+// The op methods below are the protocol's semantics, shared by the
+// wire (dispatch decodes, calls one, encodes) and by Local.
+
+// hello checks the coordinator's config fingerprint and reports the
+// applied seq and document count.
+func (s *Server) hello(fingerprint string) (appliedSeq uint64, docs int, err error) {
+	if fingerprint != s.fingerprint {
+		return 0, 0, fmt.Errorf("%w: coordinator %q, worker %q", ErrConfigMismatch, fingerprint, s.fingerprint)
+	}
+	return s.appliedSeq.Load(), s.backend.Stats().Documents, nil
+}
+
+// apply applies one replicated record. A duplicate delivery (a rejoin
+// race) is acknowledged as already applied.
+func (s *Server) apply(rec wal.Record) error {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	if rec.Seq <= s.appliedSeq.Load() {
+		return nil
+	}
+	return s.applyNext(rec)
+}
+
+// catchup applies a block of records in order, skipping those already
+// applied, and reports the applied seq afterwards.
+func (s *Server) catchup(recs []wal.Record) (uint64, error) {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	for _, rec := range recs {
+		if rec.Seq <= s.appliedSeq.Load() {
+			continue
+		}
+		if err := s.applyNext(rec); err != nil {
+			return 0, err
+		}
+	}
+	return s.appliedSeq.Load(), nil
+}
+
+// relevances fills out[i] with members[i]'s relevance map, checking
+// ctx between members.
+func (s *Server) relevances(ctx context.Context, scorer string, approx bool, members []model.UserID, out []map[model.ItemID]float64) error {
+	for i, m := range members {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var err error
+		if out[i], err = s.backend.MemberRelevances(scorer, string(m), approx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (sc *serverConn) dispatch(ctx context.Context, f frame) ([]byte, func(), error) {
 	s := sc.srv
 	switch f.op {
@@ -244,10 +288,11 @@ func (sc *serverConn) dispatch(ctx context.Context, f frame) ([]byte, func(), er
 		if err != nil {
 			return nil, nil, err
 		}
-		if fp != s.fingerprint {
-			return nil, nil, fmt.Errorf("%w: coordinator %q, worker %q", ErrConfigMismatch, fp, s.fingerprint)
+		seq, docs, err := s.hello(fp)
+		if err != nil {
+			return nil, nil, err
 		}
-		return appendHelloResp(nil, s.appliedSeq.Load(), s.backend.Stats().Documents), nil, nil
+		return appendHelloResp(nil, seq, docs), nil, nil
 
 	case opApply:
 		c := cursor{b: f.payload}
@@ -255,29 +300,18 @@ func (sc *serverConn) dispatch(ctx context.Context, f frame) ([]byte, func(), er
 		if err != nil {
 			return nil, nil, err
 		}
-		s.applyMu.Lock()
-		defer s.applyMu.Unlock()
-		if rec.Seq <= s.appliedSeq.Load() {
-			return nil, nil, nil // duplicate delivery (rejoin race): already applied
-		}
-		return nil, nil, s.applyNext(rec)
+		return nil, nil, s.apply(rec)
 
 	case opCatchup:
 		recs, err := readCatchup(f.payload)
 		if err != nil {
 			return nil, nil, err
 		}
-		s.applyMu.Lock()
-		defer s.applyMu.Unlock()
-		for _, rec := range recs {
-			if rec.Seq <= s.appliedSeq.Load() {
-				continue
-			}
-			if err := s.applyNext(rec); err != nil {
-				return nil, nil, err
-			}
+		seq, err := s.catchup(recs)
+		if err != nil {
+			return nil, nil, err
 		}
-		return binary.BigEndian.AppendUint64(nil, s.appliedSeq.Load()), nil, nil
+		return binary.BigEndian.AppendUint64(nil, seq), nil, nil
 
 	case opDocument:
 		id, title, body, err := readDocument(f.payload)
@@ -292,14 +326,8 @@ func (sc *serverConn) dispatch(ctx context.Context, f frame) ([]byte, func(), er
 			return nil, nil, err
 		}
 		maps := make([]map[model.ItemID]float64, len(members))
-		for i, m := range members {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			maps[i], err = s.backend.MemberRelevances(scorer, m, approx)
-			if err != nil {
-				return nil, nil, err
-			}
+		if err := s.relevances(ctx, scorer, approx, members, maps); err != nil {
+			return nil, nil, err
 		}
 		// Encode into pooled scratch handed to the reply writer and
 		// returned to the pool afterwards — the hot path's zero-alloc

@@ -201,8 +201,8 @@ type MemberSource interface {
 
 // Pipeline serves GroupQueries over a MemberSource: normalize → member
 // check → gather → combine → aggregate → lists A_u → solve → shape.
-// System, partition.Coordinator and partition.Networked each serve
-// through one.
+// System and the partition router (partition.Networked, which
+// partition.Coordinator wraps) each serve through one.
 type Pipeline struct {
 	cfg   Config
 	src   MemberSource
