@@ -58,6 +58,7 @@ import (
 	"fairhealth"
 	"fairhealth/internal/dataset"
 	"fairhealth/internal/httpapi"
+	"fairhealth/internal/model"
 	"fairhealth/internal/partition"
 	"fairhealth/internal/partition/transport"
 )
@@ -67,6 +68,7 @@ import (
 // (networked, or in process as partition.Coordinator) satisfy it.
 type backend interface {
 	httpapi.Backend
+	Load(ratings []model.Triple, patients []fairhealth.Patient) error
 	Close() error
 }
 
@@ -166,11 +168,7 @@ func main() {
 		if err != nil {
 			logger.Fatalf("demo dataset: %v", err)
 		}
-		for _, tr := range ds.Ratings.Triples() {
-			if err := sys.AddRating(string(tr.User), string(tr.Item), float64(tr.Value)); err != nil {
-				logger.Fatalf("demo rating: %v", err)
-			}
-		}
+		var patients []fairhealth.Patient
 		for _, id := range ds.Profiles.IDs() {
 			prof, err := ds.Profiles.Get(id)
 			if err != nil {
@@ -180,13 +178,13 @@ func main() {
 			for i, c := range prof.Problems {
 				problems[i] = string(c)
 			}
-			err = sys.AddPatient(fairhealth.Patient{
+			patients = append(patients, fairhealth.Patient{
 				ID: string(prof.ID), Age: prof.Age, Gender: string(prof.Gender),
 				Problems: problems, Medications: prof.Medications,
 			})
-			if err != nil {
-				logger.Fatalf("demo patient: %v", err)
-			}
+		}
+		if err := sys.Load(ds.Ratings.Triples(), patients); err != nil {
+			logger.Fatalf("demo load: %v", err)
 		}
 		for _, d := range ds.Documents {
 			if err := sys.AddDocument(string(d.ID), d.Title, d.Body); err != nil {

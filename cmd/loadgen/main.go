@@ -45,6 +45,7 @@ import (
 	"fairhealth/internal/candidates"
 	"fairhealth/internal/dataset"
 	"fairhealth/internal/loadtest"
+	"fairhealth/internal/model"
 	"fairhealth/internal/partition"
 )
 
@@ -52,6 +53,7 @@ import (
 // loadtest surface: seeding, stats, and shutdown.
 type engine interface {
 	loadtest.Engine
+	Load(ratings []model.Triple, patients []fairhealth.Patient) error
 	Stats() fairhealth.Stats
 	CandidateIndexStats() (candidates.Stats, bool)
 	Close() error
@@ -193,11 +195,7 @@ func main() {
 		}
 		defer sys.Close()
 		start := time.Now()
-		for _, tr := range ds.Ratings.Triples() {
-			if err := sys.AddRating(string(tr.User), string(tr.Item), float64(tr.Value)); err != nil {
-				logger.Fatalf("seed rating: %v", err)
-			}
-		}
+		var patients []fairhealth.Patient
 		for _, id := range ds.Profiles.IDs() {
 			prof, err := ds.Profiles.Get(id)
 			if err != nil {
@@ -207,11 +205,11 @@ func main() {
 			for i, c := range prof.Problems {
 				probs[i] = string(c)
 			}
-			p := fairhealth.Patient{ID: string(prof.ID), Age: prof.Age, Gender: string(prof.Gender),
-				Problems: probs, Medications: prof.Medications}
-			if err := sys.AddPatient(p); err != nil {
-				logger.Fatalf("seed patient: %v", err)
-			}
+			patients = append(patients, fairhealth.Patient{ID: string(prof.ID), Age: prof.Age, Gender: string(prof.Gender),
+				Problems: probs, Medications: prof.Medications})
+		}
+		if err := sys.Load(ds.Ratings.Triples(), patients); err != nil {
+			logger.Fatalf("seed: %v", err)
 		}
 		st := sys.Stats()
 		logger.Printf("in-process system seeded in %v: %d patients, %d items, %d ratings",

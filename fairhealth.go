@@ -733,6 +733,23 @@ func (s *System) LoadRatingsCSV(r io.Reader) (int, error) {
 	return n, nil
 }
 
+// Load adds ratings, then patients, in order, one write at a time —
+// the bulk seed surface a partition router answers with one batched
+// commit. It stops at the first refused record.
+func (s *System) Load(rs []model.Triple, patients []Patient) error {
+	for _, t := range rs {
+		if err := s.AddRating(string(t.User), string(t.Item), float64(t.Value)); err != nil {
+			return err
+		}
+	}
+	for _, p := range patients {
+		if err := s.AddPatient(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AddPatient registers (or replaces) a patient profile.
 func (s *System) AddPatient(p Patient) error {
 	prof := toProfile(p)

@@ -11,14 +11,17 @@
 // The serving hot path is coalesced: all members of a group owned by
 // the same worker travel in one Relevances call, so a group costs at
 // most one call per live worker, not one per member, and a memoized
-// group costs none. Writes append to the optional log, commit to the
-// journal and the router's replica, then apply on every live worker; a
-// worker that fails a transport call, refuses a record as a sequence
-// gap, or reports an applied seq below what it acknowledged (a probe
-// on every health tick) is marked down, traffic reroutes via
-// OwnerLive, and a background health loop re-handshakes it and streams
-// the gap back in blocks (from the journal, or from the log past its
-// retention) before returning it to the ring.
+// group costs none. Writes are batches: each record appends to the
+// optional log, applies to the router's replica and joins the journal,
+// then the batch applies on every live worker — one Apply for a single
+// write, compressed catch-up blocks for a bulk Load. A worker that
+// fails a transport call, refuses a record as a sequence gap, or
+// reports an applied seq below what it acknowledged (a probe on every
+// health tick) is marked down, traffic reroutes via OwnerLive, and a
+// background health loop re-handshakes it and streams the gap back in
+// blocks (from the journal, or from the log past its retention) before
+// returning it to the ring. A worker whose applied seq is past the
+// router's (ErrWorkerAhead) is never let in.
 // Group queries run the same fairhealth.Pipeline a System runs; only
 // the member vectors come from the workers. Answers stay bit-identical
 // to one unpartitioned System: scores cross the wire as raw float64
@@ -52,6 +55,12 @@ var (
 	// ErrJournalGap reports a catch-up whose gap the journal no longer
 	// retains and no log file exists to fall back to.
 	ErrJournalGap = errors.New("partition: journal no longer retains the catch-up gap")
+	// ErrWorkerAhead reports a worker whose applied seq is past the
+	// router's last commit: it holds records this router never wrote
+	// (a router restarted against running workers) and would
+	// acknowledge the router's next records as duplicates without
+	// applying them. It stays down until restarted empty.
+	ErrWorkerAhead = errors.New("partition: worker is ahead of the router")
 )
 
 // NetOptions tunes a networked coordinator.
@@ -407,9 +416,22 @@ func (n *Networked) probe(p *netPeer) {
 	if err == nil && seq < acked {
 		err = fmt.Errorf("partition: peer restarted: applied seq %d, acknowledged %d", seq, acked)
 	}
+	if err == nil {
+		err = n.notAhead(seq)
+	}
 	if err != nil {
 		n.markDown(p, err)
 	}
+}
+
+// notAhead refuses a Hello's applied seq past the router's last. It
+// must read lastSeq after the Hello: commit stores lastSeq before it
+// replicates, so a worker in step with this router is never ahead.
+func (n *Networked) notAhead(seq uint64) error {
+	if last := n.lastSeq.Load(); seq > last {
+		return fmt.Errorf("%w: applied seq %d, router at %d; restart the worker empty", ErrWorkerAhead, seq, last)
+	}
+	return nil
 }
 
 func (n *Networked) markDown(p *netPeer, err error) {
@@ -435,6 +457,9 @@ func (n *Networked) revive(p *netPeer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.opt.WriteTimeout)
 	seq, docCount, err := p.client.Hello(ctx, n.fingerprint)
 	cancel()
+	if err == nil {
+		err = n.notAhead(seq)
+	}
 	if err != nil {
 		return err
 	}
@@ -488,14 +513,7 @@ func (n *Networked) catchUp(p *netPeer) error {
 		return nil
 	}
 	if recs, ok := n.journal.Since(cur); ok {
-		for len(recs) > 0 {
-			k := min(len(recs), n.opt.CatchupBlock)
-			if err := n.shipBlock(p, recs[:k]); err != nil {
-				return err
-			}
-			recs = recs[k:]
-		}
-		return nil
+		return n.shipBlocks(p, recs)
 	}
 	if n.walPath == "" {
 		return fmt.Errorf("%w: need records after seq %d, journal starts at %d",
@@ -522,6 +540,18 @@ func (n *Networked) catchUp(p *netPeer) error {
 	return nil
 }
 
+// shipBlocks ships recs to p in blocks of CatchupBlock.
+func (n *Networked) shipBlocks(p *netPeer, recs []wal.Record) error {
+	for len(recs) > 0 {
+		k := min(len(recs), n.opt.CatchupBlock)
+		if err := n.shipBlock(p, recs[:k]); err != nil {
+			return err
+		}
+		recs = recs[k:]
+	}
+	return nil
+}
+
 // shipBlock applies one block on p. The worker reports its new applied
 // sequence, so a stalled peer cannot loop forever.
 func (n *Networked) shipBlock(p *netPeer, recs []wal.Record) error {
@@ -540,10 +570,11 @@ func (n *Networked) shipBlock(p *netPeer, recs []wal.Record) error {
 }
 
 // ---------------------------------------------------------------------------
-// write path: validate against the local replica → append to the log →
-// apply locally → journal → replicate to every live peer. A peer that
-// fails replication goes down and converges through catch-up, so the
-// write itself never fails on peer loss.
+// write path: validate against the local replica → per record, append
+// to the log, apply locally, journal → replicate the batch to every
+// live peer (one Apply for a single record, catch-up blocks for more).
+// A peer that fails replication goes down and converges through
+// catch-up, so the write itself never fails on peer loss.
 
 // replicate sends one write to every live peer and waits for them all;
 // the caller holds writeMu, so writes still reach each peer in commit
@@ -592,53 +623,96 @@ func (n *Networked) replicate(send func(context.Context, *netPeer) error) (*netP
 	return refuser, refusal
 }
 
-func (n *Networked) commit(rec wal.Record, ownerKey string) error {
+// commit logs, applies and journals recs in order, then replicates
+// them to every live peer as one batch. A record the router cannot log
+// or apply ends the batch there: the records before it are replicated
+// and the error is returned.
+func (n *Networked) commit(recs []wal.Record) error {
 	n.writeMu.Lock()
 	defer n.writeMu.Unlock()
-	rec.Seq = n.lastSeq.Load() + 1
-	if n.walLog != nil {
-		seq, err := n.walLog.Append(rec)
-		if err != nil {
-			return err
-		}
-		rec.Seq = seq
-	}
-	if err := n.local.ApplyRecord(rec); err != nil {
+	done, err := n.applyLocal(recs)
+	if done == 0 {
 		return err
 	}
+	recs = recs[:done]
 	// Runs after replicate returns, still under writeMu: a gather that
 	// overlapped the commit is refused, and one that starts after the
-	// drop reads only peers that applied rec.
+	// drop reads only peers that applied recs.
 	defer n.pipe.DropMemo()
-	n.lastSeq.Store(rec.Seq)
-	n.journal.Append(rec)
-	refuser, err := n.replicate(func(ctx context.Context, p *netPeer) error {
-		if err := p.client.Apply(ctx, rec); err != nil {
+	refuser, rerr := n.replicate(func(ctx context.Context, p *netPeer) error {
+		if len(recs) > 1 {
+			// A batch ships as catch-up blocks, each under its own
+			// WriteTimeout; the caller's deadline covers one record.
+			return n.shipBlocks(p, recs)
+		}
+		if err := p.client.Apply(ctx, recs[0]); err != nil {
 			return err
 		}
-		p.appliedSeq.Store(rec.Seq)
+		p.appliedSeq.Store(recs[0].Seq)
 		return nil
 	})
-	if err != nil {
-		return fmt.Errorf("partition: apply seq %d on %s: %w", rec.Seq, refuser.addr, err)
+	if rerr != nil {
+		return fmt.Errorf("partition: apply %d records from seq %d on %s: %w", len(recs), recs[0].Seq, refuser.addr, rerr)
 	}
-	if p, ok := n.ring.OwnerLive(ownerKey, n.peerLive); ok {
-		n.peers[p].ownedWrites.Add(1)
+	for _, rec := range recs {
+		if p, ok := n.ring.OwnerLive(subject(rec), n.peerLive); ok {
+			n.peers[p].ownedWrites.Add(1)
+		}
 	}
-	return nil
+	return err
+}
+
+// applyLocal assigns each record its sequence number, appends it to
+// the log, applies it to the router's replica and journals it, in
+// order, and reports how many records it committed before the first
+// failure. The caller holds writeMu.
+func (n *Networked) applyLocal(recs []wal.Record) (int, error) {
+	for i := range recs {
+		rec := &recs[i]
+		rec.Seq = n.lastSeq.Load() + 1
+		if n.walLog != nil {
+			seq, err := n.walLog.Append(*rec)
+			if err != nil {
+				return i, err
+			}
+			rec.Seq = seq
+		}
+		if err := n.local.ApplyRecord(*rec); err != nil {
+			return i, err
+		}
+		n.lastSeq.Store(rec.Seq)
+		n.journal.Append(*rec)
+	}
+	return len(recs), nil
+}
+
+// subject is the user whose owner a record's write is counted against.
+func subject(rec wal.Record) string {
+	if rec.Patient != nil {
+		return string(rec.Patient.ID)
+	}
+	return string(rec.User)
+}
+
+// rateRecord validates a rating exactly as System.AddRating does.
+func rateRecord(u model.UserID, i model.ItemID, v model.Rating) (wal.Record, error) {
+	if u == "" || i == "" {
+		return wal.Record{}, ratings.ErrEmptyID
+	}
+	if err := v.Validate(); err != nil {
+		return wal.Record{}, err
+	}
+	return wal.Record{Op: wal.OpRate, User: u, Item: i, Value: v}, nil
 }
 
 // AddRating records a rating, replicated to every live peer.
 // Validation mirrors System.AddRating exactly, before the commit.
 func (n *Networked) AddRating(user, item string, value float64) error {
-	u, i, v := model.UserID(user), model.ItemID(item), model.Rating(value)
-	if u == "" || i == "" {
-		return ratings.ErrEmptyID
-	}
-	if err := v.Validate(); err != nil {
+	rec, err := rateRecord(model.UserID(user), model.ItemID(item), model.Rating(value))
+	if err != nil {
 		return err
 	}
-	return n.commit(wal.Record{Op: wal.OpRate, User: u, Item: i, Value: v}, user)
+	return n.commit([]wal.Record{rec})
 }
 
 // RemoveRating deletes a rating, replicated to every live peer.
@@ -646,7 +720,7 @@ func (n *Networked) RemoveRating(user, item string) error {
 	if !n.local.HasRating(user, item) {
 		return fmt.Errorf("%w: %s/%s", ratings.ErrNotFound, user, item)
 	}
-	return n.commit(wal.Record{Op: wal.OpUnrate, User: model.UserID(user), Item: model.ItemID(item)}, user)
+	return n.commit([]wal.Record{{Op: wal.OpUnrate, User: model.UserID(user), Item: model.ItemID(item)}})
 }
 
 // AddPatient registers (or replaces) a patient profile everywhere.
@@ -657,7 +731,31 @@ func (n *Networked) AddPatient(p fairhealth.Patient) error {
 	if err != nil {
 		return err
 	}
-	return n.commit(wal.Record{Op: wal.OpPatient, Patient: prof}, p.ID)
+	return n.commit([]wal.Record{{Op: wal.OpPatient, Patient: prof}})
+}
+
+// Load adds ratings, then patients, as one batched commit: the same
+// records, in the same order, as System.Load, but each live peer
+// receives them as CatchupBlock-sized catch-up blocks instead of one
+// Apply per record. Every record validates first, so a bad one refuses
+// the whole call before anything is logged or applied.
+func (n *Networked) Load(rs []model.Triple, patients []fairhealth.Patient) error {
+	recs := make([]wal.Record, 0, len(rs)+len(patients))
+	for _, t := range rs {
+		rec, err := rateRecord(t.User, t.Item, t.Value)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, rec)
+	}
+	for _, p := range patients {
+		prof, err := n.local.PatientProfile(p)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, wal.Record{Op: wal.OpPatient, Patient: prof})
+	}
+	return n.commit(recs)
 }
 
 // AddDocument indexes a document locally and on every live peer, and
