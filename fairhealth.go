@@ -75,27 +75,33 @@
 //	})
 //
 // Invalidation is scoped, so caches stay warm under mixed read/write
-// traffic: a rating write to user u evicts only u's similarity row and
-// u's own peer set (the ratings store reports the touched user, and
-// every cache layer evicts by user instead of flushing); every other
-// peer set is patched for u on its next read, and the item-cf model
-// for the item pairs u's ratings span. Profile writes rebuild
-// profile-derived state, so they still flush everything, as does the
-// explicit InvalidateCaches. Reads racing a write may see either side
-// of it; once writes quiesce, served scores are bit-identical to a
-// freshly built system's.
+// traffic: a rating write to user u evicts only u's own peer set (and
+// u's row of a similarity memo, where the configured similarity keeps
+// one; the ratings store reports the touched user, and every cache
+// layer evicts by user instead of flushing); every other peer set is
+// patched for u on its next read, and the item-cf model for the item
+// pairs u's ratings span. Profile writes rebuild profile-derived
+// state, so they still flush everything, as does the explicit
+// InvalidateCaches. Reads racing a write may see either side of it;
+// once writes quiesce, served scores are bit-identical to a freshly
+// built system's.
 //
-// Both memoization layers (the similarity memo and the peer-set cache)
-// ride the shared internal/cache engine: Config.CacheTTL ages
-// long-idle entries out across requests and Config.CacheMaxEntries
-// LRU-bounds each layer; System.CacheStats (and GET /v1/stats) report
-// hits, misses, evictions, expirations, and live entry counts. With a
-// TTL configured, call Close when discarding the System so the
-// background janitors stop.
+// Under the default ratings similarity, peer discovery computes a
+// member's whole Pearson row in one item-major pass over the ratings
+// snapshot's column index, so there is no similarity memo at all. The
+// other Config.Similarity kinds (semantic, profile, hybrid) have no row
+// form and memoize pairs. The memoization layers (that similarity memo
+// and the peer-set cache) ride the shared internal/cache engine:
+// Config.CacheTTL ages long-idle entries out across requests and
+// Config.CacheMaxEntries LRU-bounds each layer; System.CacheStats (and
+// GET /v1/stats) report hits, misses, evictions, expirations, and live
+// entry counts. With a TTL configured, call Close when discarding the
+// System so the background janitors stop.
 //
-// For read-heavy deployments, PrecomputeSimilarity materializes the
-// full pairwise similarity matrix in parallel ahead of traffic;
-// Config.Workers bounds both pools (default GOMAXPROCS).
+// For read-heavy deployments under a memoized similarity,
+// PrecomputeSimilarity materializes the full pairwise similarity matrix
+// in parallel ahead of traffic; Config.Workers bounds both pools
+// (default GOMAXPROCS).
 package fairhealth
 
 import (
@@ -194,13 +200,15 @@ type Config struct {
 	// module).
 	Scorer string
 	// Workers bounds the worker pools of the parallel similarity
-	// precompute (PrecomputeSimilarity) and the batch group API
-	// (ServeBatch). 0 means runtime.GOMAXPROCS at call time.
+	// precompute (PrecomputeSimilarity, a no-op under ratings) and the
+	// batch group API (ServeBatch). 0 means runtime.GOMAXPROCS at call
+	// time.
 	Workers int
-	// CacheTTL bounds how long memoized similarity rows and peer sets
-	// stay live across requests: entries older than the TTL answer as
-	// misses and are reaped (lazily on lookup plus a background
-	// janitor), so long-idle entries age out instead of living forever.
+	// CacheTTL bounds how long memoized similarity pairs (kept only by
+	// the non-ratings similarity kinds) and peer sets stay live across
+	// requests: entries older than the TTL answer as misses and are
+	// reaped (lazily on lookup plus a background janitor), so long-idle
+	// entries age out instead of living forever.
 	// 0 keeps the historical behavior (entries live until evicted by a
 	// write); negative is ErrBadConfig. With a TTL set, call Close when
 	// discarding the System so the janitor goroutines stop.
@@ -872,7 +880,9 @@ func ageHistogram(counts []int) CacheAgeHistogram {
 // atomic, race-safe sources; Stats and CacheStats are cheap enough to
 // poll.
 type CacheStats struct {
-	// Similarity is the pairwise similarity memo table.
+	// Similarity is the pairwise similarity memo table. It reads zero
+	// under the ratings similarity, which computes rows and keeps no
+	// memo.
 	Similarity CacheCounters `json:"similarity"`
 	// Peers is the per-user peer-set (P_u) cache.
 	Peers CacheCounters `json:"peers"`
@@ -1174,16 +1184,18 @@ func fromProfile(prof *phr.Profile) Patient {
 // similarity wiring
 
 // invalidateUsers routes a rating write down the cache layers with
-// user scope: the touched users' similarity rows are evicted first,
-// then their own peer sets (recording them as touched, so every other
-// set patches itself for them on its next read). The order matters — a
-// peer-cache fence captured after EvictUsers can only observe
-// post-eviction similarity rows, so a peer set stored under that fence
-// is built from post-write data (simfn.Cached's own eviction
-// sequencing fences off lookups that were already in flight).
-// Everything not reachable from the touched
-// users stays warm: Pearson(v,w) is a function of v's and w's ratings
-// only, so no other pair can have changed.
+// user scope: the touched users' rows of the similarity memo, when the
+// configured similarity keeps one, are evicted first, then their own
+// peer sets (recording them as touched, so every other set patches
+// itself for them on its next read). The order matters — a peer-cache
+// fence captured after EvictUsers can only observe post-eviction
+// similarity rows, so a peer set stored under that fence is built from
+// post-write data (simfn.Cached's own eviction sequencing fences off
+// lookups that were already in flight). Everything not reachable from
+// the touched users stays warm: Pearson(v,w) is a function of v's and
+// w's ratings only, so no other pair can have changed. Under the
+// default ratings similarity there is no memo: a row is computed from
+// the ratings snapshot, which the store itself re-dirties on a write.
 //
 // Below the shared layers, the write fans out to every built scoring
 // provider (item-cf records the users for its next patch; profile
@@ -1256,9 +1268,20 @@ func (s *System) profileCosine() (*simfn.ProfileCosine, error) {
 	return pc, nil
 }
 
-// similarity assembles the configured measure, memoized until the next
-// write invalidates it.
-func (s *System) similarity() (*simfn.Cached, error) {
+// pearson is user-cf's ratings similarity: Eq. 2 mapped into [0,1].
+func (s *System) pearson() simfn.Normalized {
+	return simfn.Normalized{S: simfn.Pearson{Store: s.ratings, MinOverlap: s.cfg.MinOverlap}}
+}
+
+// similarity assembles the configured measure. Under ratings it is the
+// bare Pearson measure: peer discovery computes whole rows of it in one
+// pass, cheaper than looking pairs up, so there is no memo to fill or
+// evict. The other kinds are wrapped in a pair memo that lives until a
+// profile write or InvalidateCaches marks it dirty.
+func (s *System) similarity() (simfn.UserSimilarity, error) {
+	if s.cfg.Similarity == SimilarityRatings {
+		return s.pearson(), nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.simCache != nil && !s.simDirty {
@@ -1295,11 +1318,8 @@ func (s *System) similarity() (*simfn.Cached, error) {
 }
 
 func (s *System) buildSimilarityLocked() (simfn.UserSimilarity, error) {
-	pearson := simfn.Normalized{S: simfn.Pearson{Store: s.ratings, MinOverlap: s.cfg.MinOverlap}}
 	semantic := simfn.Semantic{Ont: s.ont, Problems: s.profiles.Problems}
 	switch s.cfg.Similarity {
-	case SimilarityRatings:
-		return pearson, nil
 	case SimilaritySemantic:
 		return semantic, nil
 	case SimilarityProfile:
@@ -1314,7 +1334,7 @@ func (s *System) buildSimilarityLocked() (simfn.UserSimilarity, error) {
 			return nil, err
 		}
 		return simfn.Weighted{Components: []simfn.Component{
-			{S: pearson, Weight: s.cfg.HybridWeights.Ratings},
+			{S: s.pearson(), Weight: s.cfg.HybridWeights.Ratings},
 			{S: pc, Weight: s.cfg.HybridWeights.Profile},
 			{S: semantic, Weight: s.cfg.HybridWeights.Semantic},
 		}}, nil
@@ -1395,15 +1415,21 @@ func (s *System) workers() int {
 }
 
 // PrecomputeSimilarity materializes the full pairwise similarity matrix
-// for every rated user with a sharded worker pool — the parallel
-// replacement for letting the first queries populate the cache pair by
-// pair. It returns the number of pairs computed. Safe to call
+// of a memoized measure (every Config.Similarity kind but ratings) for
+// every rated user with a sharded worker pool — the parallel
+// replacement for letting the first queries populate the memo pair by
+// pair. It returns the number of pairs computed. Under ratings there is
+// no memo, so it computes nothing and returns 0. Safe to call
 // concurrently with queries; a cancelled context keeps the (valid)
-// partial cache and returns ctx.Err().
+// partial memo and returns ctx.Err().
 func (s *System) PrecomputeSimilarity(ctx context.Context) (pairs int, err error) {
-	c, err := s.similarity()
+	m, err := s.similarity()
 	if err != nil {
 		return 0, err
+	}
+	c, ok := m.(*simfn.Cached)
+	if !ok {
+		return 0, nil
 	}
 	return c.WarmAll(ctx, s.ratings.Users(), s.workers())
 }

@@ -15,7 +15,21 @@ import (
 // for several overlapping groups.
 func batchSystem(t *testing.T, workers int) (*System, [][]string) {
 	t.Helper()
-	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Workers: workers})
+	return batchSystemWith(t, workers, SimilarityRatings)
+}
+
+// hybridBatchSystem is batchSystem under the hybrid similarity, whose
+// pair memo (Pearson included) still fills on serves — the layer the
+// similarity-memo tests observe. The default ratings similarity keeps
+// no memo.
+func hybridBatchSystem(t *testing.T, workers int) (*System, [][]string) {
+	t.Helper()
+	return batchSystemWith(t, workers, SimilarityHybrid)
+}
+
+func batchSystemWith(t *testing.T, workers int, kind SimilarityKind) (*System, [][]string) {
+	t.Helper()
+	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Workers: workers, Similarity: kind})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +184,7 @@ func TestGroupRecommendBatchConcurrentWrites(t *testing.T) {
 }
 
 func TestPrecomputeSimilarityWarmsAllPairs(t *testing.T) {
-	sys, _ := batchSystem(t, 0)
+	sys, _ := hybridBatchSystem(t, 0)
 	n := len(sys.SortedUsers())
 	pairs, err := sys.PrecomputeSimilarity(context.Background())
 	if err != nil {

@@ -40,7 +40,15 @@ func TestCacheConfigValidation(t *testing.T) {
 // knobs and registers cleanup for the janitors.
 func cacheSystem(t *testing.T, ttl time.Duration, maxEntries int) (*System, [][]string) {
 	t.Helper()
-	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, CacheTTL: ttl, CacheMaxEntries: maxEntries})
+	return cacheSystemWith(t, SimilarityRatings, ttl, maxEntries)
+}
+
+// cacheSystemWith is cacheSystem under the given similarity kind. The
+// tests that observe the similarity memo run under SimilarityHybrid:
+// under the default ratings similarity there is no memo.
+func cacheSystemWith(t *testing.T, kind SimilarityKind, ttl time.Duration, maxEntries int) (*System, [][]string) {
+	t.Helper()
+	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Similarity: kind, CacheTTL: ttl, CacheMaxEntries: maxEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +67,7 @@ func cacheSystem(t *testing.T, ttl time.Duration, maxEntries int) (*System, [][]
 // expiration counters move.
 func TestCacheTTLExpiryEquivalence(t *testing.T) {
 	const ttl = 40 * time.Millisecond
-	sys, groups := cacheSystem(t, ttl, 0)
+	sys, groups := cacheSystemWith(t, SimilarityHybrid, ttl, 0)
 	groups = groups[:3]
 	if _, err := sys.PrecomputeSimilarity(context.Background()); err != nil {
 		t.Fatal(err)
@@ -104,7 +112,7 @@ func TestCacheTTLExpiryEquivalence(t *testing.T) {
 // are counted, and capacity eviction never changes answers.
 func TestCacheMaxEntriesBound(t *testing.T) {
 	const maxEntries = 64
-	sys, groups := cacheSystem(t, 0, maxEntries)
+	sys, groups := cacheSystemWith(t, SimilarityHybrid, 0, maxEntries)
 	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +136,7 @@ func TestCacheMaxEntriesBound(t *testing.T) {
 // must evict their similarity row and every peer set that contained
 // them — warm caches must not retain rows for deleted users.
 func TestUserDeletionEvictsCaches(t *testing.T) {
-	sys, groups := batchSystem(t, 1)
+	sys, groups := hybridBatchSystem(t, 1)
 	groups = groups[:3]
 	if _, err := sys.PrecomputeSimilarity(context.Background()); err != nil {
 		t.Fatal(err)
@@ -220,7 +228,7 @@ func TestConcurrentServeWritesWithTTLExpiry(t *testing.T) {
 // discarded at the post-flush rebuild), matching the peer cache's
 // accounting and the documented CacheCounters semantics.
 func TestFullInvalidationCountsSimilarityEvictions(t *testing.T) {
-	sys, groups := batchSystem(t, 1)
+	sys, groups := hybridBatchSystem(t, 1)
 	if _, err := sys.Serve(context.Background(), GroupQuery{Members: groups[0], Z: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +247,35 @@ func TestFullInvalidationCountsSimilarityEvictions(t *testing.T) {
 	if after.Peers.Evictions <= before.Peers.Evictions {
 		t.Errorf("peer evictions did not move across full flush: %+v → %+v", before.Peers, after.Peers)
 	}
+}
+
+// TestRatingsSimilarityKeepsNoMemo pins the default configuration:
+// under the ratings similarity peer discovery computes whole rows, so a
+// cold serve and a write leave the similarity memo empty, and
+// PrecomputeSimilarity has nothing to compute.
+func TestRatingsSimilarityKeepsNoMemo(t *testing.T) {
+	sys, groups := batchSystem(t, 1)
+	if _, err := sys.Serve(context.Background(), GroupQuery{Members: groups[0], Z: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddRating(groups[0][0], "doc0001", 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Serve(context.Background(), GroupQuery{Members: groups[0], Z: 4}); err != nil {
+		t.Fatal(err)
+	}
+	st := sys.CacheStats()
+	if st.Similarity.Entries != 0 {
+		t.Errorf("ratings similarity left %d memo entries, want 0", st.Similarity.Entries)
+	}
+	if st.Peers.Entries == 0 {
+		t.Errorf("serve left no peer sets: %+v", st.Peers)
+	}
+	pairs, err := sys.PrecomputeSimilarity(context.Background())
+	if err != nil || pairs != 0 {
+		t.Errorf("PrecomputeSimilarity = %d, %v; want 0, nil", pairs, err)
+	}
+	assertSystemsAgree(t, "ratings similarity after a write", sys, rebuildFrom(t, sys), groups[:3])
 }
 
 // TestAdaptiveCacheConfigValidation covers the Config surface of TTL
@@ -340,7 +377,7 @@ func TestAdaptiveTTLEquivalence(t *testing.T) {
 // property — size-aware eviction never changes answers.
 func TestCacheMaxCostBound(t *testing.T) {
 	const maxCost = 96
-	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, CacheMaxCost: maxCost})
+	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Similarity: SimilarityHybrid, CacheMaxCost: maxCost})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,10 @@
 package cf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -49,6 +51,10 @@ type Recommender struct {
 	// Sim is the user-similarity measure simU. For peer selection its
 	// output is compared against Delta, so measures with negative
 	// ranges (raw Pearson) are usually wrapped in simfn.Normalized.
+	// When Sim offers rows (simfn.RowSimilarity, as Pearson and
+	// Normalized Pearson do), the full peer scan is one row pass, fast
+	// enough that Sim needs no pair memo; other measures are evaluated
+	// pair by pair and are usually wrapped in simfn.Cached.
 	Sim simfn.UserSimilarity
 	// Delta is the peer threshold δ of Def. 1.
 	Delta float64
@@ -402,33 +408,86 @@ func (r *Recommender) peers(u model.UserID) ([]Peer, error) {
 			return set, nil
 		}
 	}
-	candidates := r.Store.Snapshot().Users() // ascending, for deterministic ties
+	sn := r.Store.Snapshot()
+	candidates, filtered := sn.Users(), false // ascending, for deterministic ties
 	if r.Candidates != nil {
 		if cs := r.Candidates(u); cs != nil {
 			candidates = append([]model.UserID(nil), cs...)
 			sort.Slice(candidates, func(a, b int) bool { return candidates[a] < candidates[b] })
+			filtered = true
 		}
 	}
-	var peers []Peer
-	for _, other := range candidates {
-		if other == u {
-			continue
+	peers, ok := r.rowPeers(sn, u, candidates, filtered)
+	if !ok {
+		for _, other := range candidates {
+			if other == u {
+				continue
+			}
+			s, ok := r.Sim.Similarity(u, other)
+			if !r.qualifies(s, ok) {
+				continue
+			}
+			peers = append(peers, Peer{User: other, Sim: s})
 		}
-		s, ok := r.Sim.Similarity(u, other)
-		if !r.qualifies(s, ok) {
-			continue
-		}
-		peers = append(peers, Peer{User: other, Sim: s})
+		// Candidates are ascending, so equal-similarity peers are already
+		// in ID order; sort stably by similarity descending.
+		sort.SliceStable(peers, func(i, j int) bool { return peers[i].Sim > peers[j].Sim })
 	}
-	// Candidates are ascending, so equal-similarity peers are already in
-	// ID order; sort stably by similarity descending.
-	sort.SliceStable(peers, func(i, j int) bool { return peers[i].Sim > peers[j].Sim })
 	if r.Cache != nil {
 		// Put's copy drops the slack append left behind; the set may stay
 		// resident for a long time.
 		r.Cache.Put(u, peers, r.CacheGen, r.CacheSeq)
 	}
 	return peers, nil
+}
+
+// rowPool recycles rowPeers' similarity-row buffers.
+var rowPool = sync.Pool{New: func() any { return new([]simfn.RowSim) }}
+
+// rowPeers is the full scan computed as one similarity row, kept to the
+// ascending candidates when filtered and returned in canonical order;
+// ok is false when Sim has no row form.
+func (r *Recommender) rowPeers(sn *ratings.Snapshot, u model.UserID, candidates []model.UserID, filtered bool) (peers []Peer, ok bool) {
+	rows, ok := r.Sim.(simfn.RowSimilarity)
+	if !ok {
+		return nil, false
+	}
+	buf := rowPool.Get().(*[]simfn.RowSim)
+	defer rowPool.Put(buf)
+	if *buf, ok = rows.SimilarityRow(sn, u, (*buf)[:0]); !ok {
+		return nil, false
+	}
+	users := sn.Users()
+	keep := (*buf)[:0]
+	for _, e := range *buf {
+		if filtered {
+			// Both run ascending by user: advance the candidates cursor.
+			v := users[e.Pos]
+			for len(candidates) > 0 && candidates[0] < v {
+				candidates = candidates[1:]
+			}
+			if len(candidates) == 0 || candidates[0] != v {
+				continue
+			}
+		}
+		if r.qualifies(e.Sim, true) {
+			keep = append(keep, e)
+		}
+	}
+	// Positions ascend with user IDs, so (similarity desc, position asc)
+	// is the canonical order; it is total, so sorting the pointer-free
+	// entries gives the same slice the stable sort of a scan would.
+	slices.SortFunc(keep, func(a, b simfn.RowSim) int {
+		if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Pos, b.Pos)
+	})
+	peers = make([]Peer, len(keep))
+	for k, e := range keep {
+		peers[k] = Peer{User: users[e.Pos], Sim: e.Sim}
+	}
+	return peers, true
 }
 
 // PeerSet returns the peers as a map for O(1) membership checks.

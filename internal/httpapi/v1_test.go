@@ -308,10 +308,22 @@ func TestBatchQueriesForm(t *testing.T) {
 	}
 }
 
+// newHybridTestServer is newTestServer under the hybrid similarity,
+// whose pair memo (Pearson included) fills on serves. Under the default
+// ratings similarity caches.similarity reads zero.
+func newHybridTestServer(t *testing.T) (*Server, *fairhealth.System) {
+	t.Helper()
+	sys, err := fairhealth.New(fairhealth.Config{MinOverlap: 1, K: 5, Similarity: fairhealth.SimilarityHybrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewWithOptions(sys, Options{Logger: log.New(io.Discard, "", 0)}), sys
+}
+
 // TestStatsCacheCounters checks /v1/stats exposes the similarity and
 // peer cache hit/miss/size counters and that they move under traffic.
 func TestStatsCacheCounters(t *testing.T) {
-	srv, sys := newTestServer(t)
+	srv, sys := newHybridTestServer(t)
 	seed(t, sys)
 	statsOf := func() StatsResponse {
 		return decode[StatsResponse](t, do(t, srv, "GET", "/v1/stats", nil))
@@ -346,7 +358,7 @@ func TestStatsCacheCounters(t *testing.T) {
 // the engine's eviction/expiration counters on the wire, and a rating
 // write moves the eviction counters through scoped invalidation.
 func TestStatsCacheEvictionExpirationFields(t *testing.T) {
-	srv, sys := newTestServer(t)
+	srv, sys := newHybridTestServer(t)
 	seed(t, sys)
 	if rec := do(t, srv, "POST", "/v1/groups/recommend", GroupQueryBody{
 		Members: []string{"g1", "g2"}, Z: 2,

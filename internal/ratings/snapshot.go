@@ -2,6 +2,8 @@ package ratings
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"fairhealth/internal/model"
 )
@@ -83,12 +85,19 @@ func (r Row) OverlapAtLeast(other Row, min int) bool {
 // addressing (Row.Idx). A patched snapshot keeps its predecessor's
 // catalogue unless a written row names an item missing from it, so the
 // catalogue may still list items nobody rates any more.
+//
+// The item-major column index (Columns) is built on first use and then
+// carried forward: a patched snapshot copies only the written users'
+// columns from its predecessor's index.
 type Snapshot struct {
 	version uint64
 	mask    uint32
 	shards  []map[model.UserID]Row
 	users   []model.UserID // ascending; shared, read-only
 	items   []model.ItemID // ascending catalogue; shared, read-only
+
+	colsMu sync.Mutex // serializes the lazy build of cols
+	cols   atomic.Pointer[Columns]
 }
 
 // Version is the store write-version the snapshot was requested at.
@@ -307,8 +316,15 @@ func (s *Store) patchSnapshot(prev *Snapshot, dirty []model.UserID, version uint
 		sort.Slice(users, func(a, b int) bool { return users[a] < users[b] })
 		sn.users = users
 	}
-	if newItem {
+	switch {
+	case newItem:
 		sn.reindex()
+	case !usersChanged:
+		// Same positions, same catalogue: patch the predecessor's index
+		// if it has one. Otherwise Columns builds it lazily.
+		if c := prev.cols.Load(); c != nil {
+			sn.cols.Store(c.patched(prev, sn, dirty))
+		}
 	}
 	return sn
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"fairhealth/internal/cache"
@@ -94,17 +95,95 @@ func (p Pearson) Similarity(a, b model.UserID) (float64, bool) {
 	if shared < minOverlap {
 		return 0, false
 	}
+	return correlation(num, da, db)
+}
+
+// correlation finishes Eq. 2 from its accumulated sums: undefined when
+// either centered vector has zero norm, else clamped into [-1, 1]
+// against floating point drift.
+func correlation(num, da, db float64) (float64, bool) {
 	if da == 0 || db == 0 {
 		return 0, false
 	}
 	r := num / (math.Sqrt(da) * math.Sqrt(db))
-	// guard against floating point drift outside [-1, 1]
 	if r > 1 {
 		r = 1
 	} else if r < -1 {
 		r = -1
 	}
 	return r, true
+}
+
+// RowSimilarity is implemented by measures that can score one user
+// against every user of a snapshot in a single pass. Peer discovery
+// type-asserts it; measures without a row form keep the pairwise loop.
+type RowSimilarity interface {
+	// SimilarityRow appends to dst one entry per position of
+	// sn.Users(), ascending and u's own excluded, whose similarity to u
+	// is defined over sn; each Sim is bit-identical to Similarity(u, v)
+	// over the same ratings. ok is false, with dst returned unchanged,
+	// when the measure has no row form.
+	SimilarityRow(sn *ratings.Snapshot, u model.UserID, dst []RowSim) (row []RowSim, ok bool)
+}
+
+// RowSim is one defined entry of a similarity row: a position in the
+// snapshot's Users() and the similarity there.
+type RowSim struct {
+	Pos uint32
+	Sim float64
+}
+
+// rowAcc is one rater's running Eq. 2 sums in a similarity row.
+type rowAcc struct {
+	num, da, db float64
+	shared      int
+}
+
+// rowPool recycles SimilarityRow's per-user accumulator arrays.
+var rowPool = sync.Pool{New: func() any { return new([]rowAcc) }}
+
+// SimilarityRow implements RowSimilarity with one item-major pass over
+// sn.Columns(): for each of u's items in ascending catalogue order it
+// walks that item's raters and accumulates the sums by rater position.
+// Per rater the terms arrive in ascending item order, exactly as in
+// Similarity's merge-join, so every value is bit-identical to it. The
+// row reads sn, not p.Store.
+func (p Pearson) SimilarityRow(sn *ratings.Snapshot, u model.UserID, dst []RowSim) ([]RowSim, bool) {
+	pu, ok := sn.Position(u)
+	if !ok {
+		return dst, true
+	}
+	row, _ := sn.Row(u)
+	cols := sn.Columns()
+	buf := rowPool.Get().(*[]rowAcc)
+	defer rowPool.Put(buf)
+	if cap(*buf) < sn.NumUsers() {
+		*buf = make([]rowAcc, sn.NumUsers())
+	}
+	accs := (*buf)[:sn.NumUsers()]
+	clear(accs)
+	for j, k := range row.Idx {
+		xa := float64(row.Ratings[j]) - row.Mean
+		for _, c := range cols.Column(k) {
+			xb := float64(c.Rating) - cols.Mean(c.User)
+			a := &accs[c.User]
+			a.num += xa * xb
+			a.da += xa * xa
+			a.db += xb * xb
+			a.shared++
+		}
+	}
+	minOverlap := max(p.MinOverlap, 1)
+	for v := range accs {
+		a := &accs[v]
+		if uint32(v) == pu || a.shared < minOverlap {
+			continue
+		}
+		if r, ok := correlation(a.num, a.da, a.db); ok {
+			dst = append(dst, RowSim{Pos: uint32(v), Sim: r})
+		}
+	}
+	return dst, true
 }
 
 // PearsonReference is the retained map-based implementation of Eq. 2 —
@@ -307,6 +386,20 @@ func (n Normalized) Similarity(a, b model.UserID) (float64, bool) {
 		return 0, false
 	}
 	return (s + 1) / 2, true
+}
+
+// SimilarityRow implements RowSimilarity by forwarding to the inner
+// measure's row and mapping each value as Similarity does.
+func (n Normalized) SimilarityRow(sn *ratings.Snapshot, u model.UserID, dst []RowSim) ([]RowSim, bool) {
+	rs, ok := n.S.(RowSimilarity)
+	if !ok {
+		return dst, false
+	}
+	row, ok := rs.SimilarityRow(sn, u, dst)
+	for i := len(dst); i < len(row); i++ {
+		row[i].Sim = (row[i].Sim + 1) / 2
+	}
+	return row, ok
 }
 
 // Component weights one measure inside a Weighted combination.

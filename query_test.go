@@ -283,7 +283,7 @@ func TestPeersAndRecommendUnknownUser(t *testing.T) {
 // similarity memo and peer cache and checks the observability
 // counters move accordingly.
 func TestCacheStatsCounters(t *testing.T) {
-	sys, groups := batchSystem(t, 1)
+	sys, groups := hybridBatchSystem(t, 1)
 	if st := sys.CacheStats(); st.Similarity.Hits != 0 || st.Peers.Hits != 0 {
 		t.Fatalf("fresh system has nonzero counters: %+v", st)
 	}
