@@ -223,7 +223,7 @@ func cmdGroup(args []string) error {
 	z := fs.Int("z", 10, "recommendations to return")
 	k := fs.Int("k", 10, "per-member personal list size (fairness)")
 	delta := fs.Float64("delta", 0.5, "peer threshold δ")
-	aggr := fs.String("aggr", "avg", "aggregation: avg (majority) or min (veto)")
+	aggr := fs.String("aggr", "avg", "aggregation: avg (majority), min (veto), max, median or consensus")
 	method := fs.String("method", "greedy", "greedy | brute | topz (for the §IV MapReduce pipeline run 'fairrec mr')")
 	scorer := fs.String("scorer", "", "relevance scorer: user-cf (default) | item-cf | profile")
 	m := fs.Int("m", 20, "candidate pool for brute force")
@@ -287,7 +287,7 @@ func cmdBatch(args []string) error {
 	z := fs.Int("z", 10, "recommendations per group")
 	k := fs.Int("k", 10, "per-member personal list size (fairness)")
 	delta := fs.Float64("delta", 0.5, "peer threshold δ")
-	aggr := fs.String("aggr", "avg", "aggregation: avg (majority) or min (veto)")
+	aggr := fs.String("aggr", "avg", "aggregation: avg (majority), min (veto), max, median or consensus")
 	method := fs.String("method", "greedy", "solver for every group: greedy | brute (for the §IV MapReduce pipeline run 'fairrec mr')")
 	scorer := fs.String("scorer", "", "relevance scorer for every group: user-cf (default) | item-cf | profile")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")

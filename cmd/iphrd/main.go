@@ -9,18 +9,13 @@
 //
 // Every request passes the middleware chain (request IDs, structured
 // logs, panic recovery, bounded in-flight limiter, per-request
-// timeout); -max-inflight and -timeout tune the bounds, and
-// -adaptive-target-p95 switches the limiter to AIMD mode (the
-// admission bound tracks observed p95 latency against the target,
-// never dropping below -min-inflight). The warm caches under the
-// scoring path are tuned with -cache-ttl (entries age out across
-// requests), -cache-max-entries (LRU bound per layer), and
-// -cache-max-cost (size-aware budget per layer); -cache-ttl-min/-max
-// turn on TTL adaptation (the lease retargets every
-// -cache-adapt-every from observed hit/expiry/age signals). GET
-// /v1/stats reports the cache hit/miss/eviction/expiration counters,
-// per-layer entry-age histograms, live TTLs, and the limiter's
-// current bound. -scorer sets the default
+// timeout); -max-inflight and -timeout tune the bounds. The warm
+// caches under the scoring path are tuned with -cache-ttl (entries age
+// out across requests), -cache-max-entries (LRU bound per layer), and
+// -cache-max-cost (size-aware budget per layer). GET /v1/stats reports
+// the cache hit/miss/eviction/expiration counters, per-layer
+// entry-age histograms, TTLs, and the limiter's bound, in-flight
+// count and rejections. -scorer sets the default
 // relevance backend (user-cf | item-cf | profile) for queries that
 // name none. -candidate-index turns on the cluster peer-candidate
 // index (-candidate-k sizes it, 0 = √n): exact queries get a
@@ -79,14 +74,11 @@ func main() {
 	demoUsers := flag.Int("demo-users", 60, "demo dataset patients")
 	delta := flag.Float64("delta", 0.5, "peer threshold δ")
 	k := flag.Int("k", 10, "personal list size (fairness)")
-	aggr := flag.String("aggr", "avg", "group aggregation: avg or min")
+	aggr := flag.String("aggr", "avg", "group aggregation: avg | min | max | median | consensus")
 	scorer := flag.String("scorer", "", "default relevance scorer for queries that name none: user-cf | item-cf | profile (empty = user-cf)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of warm similarity rows and peer sets across requests (0 = never expire)")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "LRU bound per cache layer (0 = unbounded)")
 	cacheMaxCost := flag.Int64("cache-max-cost", 0, "size-aware cost budget per cache layer (0 = unbounded)")
-	cacheTTLMin := flag.Duration("cache-ttl-min", 0, "adaptive TTL lower bound (set with -cache-ttl-max and -cache-ttl to enable adaptation)")
-	cacheTTLMax := flag.Duration("cache-ttl-max", 0, "adaptive TTL upper bound")
-	cacheAdaptEvery := flag.Duration("cache-adapt-every", 0, "cache TTL adaptation period (0 = 10s default when adaptation is enabled)")
 	candidateIndex := flag.Bool("candidate-index", false, "enable the cluster peer-candidate index (exact-mode prefilter + opt-in approx queries)")
 	candidateK := flag.Int("candidate-k", 0, "cluster count for the candidate index (0 = √n; needs -candidate-index)")
 	partitions := flag.Int("partitions", 0, "serve from N in-process consistent-hash partitions behind the partition router, the same router -partition-peers runs over the network (0 or 1 = unpartitioned)")
@@ -95,8 +87,6 @@ func main() {
 	state := flag.String("state", "", "state directory for durable storage (empty = in-memory)")
 	timeout := flag.Duration("timeout", httpapi.DefaultTimeout, "per-request timeout (negative disables)")
 	maxInFlight := flag.Int("max-inflight", httpapi.DefaultMaxInFlight, "max concurrently served requests, 429 beyond (negative disables)")
-	targetP95 := flag.Duration("adaptive-target-p95", 0, "p95 latency target enabling AIMD adaptation of the in-flight limit (0 = fixed limit)")
-	minInFlight := flag.Int("min-inflight", httpapi.DefaultMinInFlight, "floor for the adaptive in-flight limit")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGINT/SIGTERM shutdown waits for in-flight requests to finish")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 (empty = disabled; never exposed on the API listener)")
 	flag.Parse()
@@ -105,7 +95,6 @@ func main() {
 	cfg := fairhealth.Config{
 		Delta: *delta, K: *k, Aggregation: *aggr, Scorer: *scorer,
 		CacheTTL: *cacheTTL, CacheMaxEntries: *cacheMaxEntries, CacheMaxCost: *cacheMaxCost,
-		CacheTTLMin: *cacheTTLMin, CacheTTLMax: *cacheTTLMax, CacheAdaptEvery: *cacheAdaptEvery,
 		CandidateIndex: *candidateIndex, CandidateK: *candidateK,
 	}
 	if *partitionListen != "" {
@@ -224,8 +213,6 @@ func main() {
 			Logger:      logger,
 			Timeout:     *timeout,
 			MaxInFlight: *maxInFlight,
-			TargetP95:   *targetP95,
-			MinInFlight: *minInFlight,
 		}),
 		ReadHeaderTimeout: 5 * time.Second,
 	}

@@ -85,9 +85,6 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 0, "inproc: cache lease (0 = never expire)")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "inproc: LRU bound per cache layer (0 = unbounded)")
 	cacheMaxCost := flag.Int64("cache-max-cost", 0, "inproc: cost budget per cache layer (0 = unbounded)")
-	cacheTTLMin := flag.Duration("cache-ttl-min", 0, "inproc: adaptive TTL lower bound (with -cache-ttl-max enables adaptation)")
-	cacheTTLMax := flag.Duration("cache-ttl-max", 0, "inproc: adaptive TTL upper bound")
-	cacheAdaptEvery := flag.Duration("cache-adapt-every", 0, "inproc: adaptation period (0 = 10s default when enabled)")
 	candidateIndex := flag.Bool("candidate-index", false, "inproc: enable the cluster peer-candidate index")
 	candidateK := flag.Int("candidate-k", 0, "inproc: cluster count for the candidate index (0 = √n; needs -candidate-index)")
 	partitions := flag.Int("partitions", 0, "inproc: serve from N consistent-hash partitions behind the fan-out coordinator; the report gains a per-partition latency section (0 or 1 = unpartitioned)")
@@ -162,7 +159,6 @@ func main() {
 		sysCfg := fairhealth.Config{
 			Delta: *delta, Scorer: *scorer,
 			CacheTTL: *cacheTTL, CacheMaxEntries: *cacheMaxEntries, CacheMaxCost: *cacheMaxCost,
-			CacheTTLMin: *cacheTTLMin, CacheTTLMax: *cacheTTLMax, CacheAdaptEvery: *cacheAdaptEvery,
 			CandidateIndex: *candidateIndex, CandidateK: *candidateK,
 		}
 		if *partitionPeers != "" {

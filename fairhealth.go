@@ -116,7 +116,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fairhealth/internal/cache"
@@ -228,22 +227,6 @@ type Config struct {
 	// ErrBadConfig. Composes with CacheMaxEntries — whichever bound
 	// trips first evicts.
 	CacheMaxCost int64
-	// CacheTTLMin and CacheTTLMax, when both set, enable TTL
-	// adaptation: a background loop (period CacheAdaptEvery) reads each
-	// layer's hit/miss/expiry deltas and entry-age histogram and
-	// retargets its lease within [CacheTTLMin, CacheTTLMax] — growing
-	// when expiry is driving misses, shrinking when the table is all
-	// young (see internal/cache.AdviseTTL). Requires CacheTTL > 0 (the
-	// starting lease) with CacheTTLMin ≤ CacheTTL ≤ CacheTTLMax.
-	// Adaptation only changes when entries die, never what a hit
-	// returns: warm answers stay bit-identical to cold rebuilds under
-	// every lease the advisor picks.
-	CacheTTLMin time.Duration
-	CacheTTLMax time.Duration
-	// CacheAdaptEvery is the adaptation period; 0 defaults to 10s when
-	// adaptation is enabled, negative is ErrBadConfig. Ignored without
-	// CacheTTLMin/CacheTTLMax.
-	CacheAdaptEvery time.Duration
 	// CandidateIndex enables the cluster peer-candidate index
 	// (internal/candidates): exact-mode queries prefilter the peer
 	// scan to users who can actually qualify under MinOverlap
@@ -308,24 +291,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CacheMaxCost < 0 {
 		return c, fmt.Errorf("%w: cache max cost %d must be ≥ 0 (0 means unbounded)", ErrBadConfig, c.CacheMaxCost)
-	}
-	if c.CacheAdaptEvery < 0 {
-		return c, fmt.Errorf("%w: cache adapt period %v must be ≥ 0", ErrBadConfig, c.CacheAdaptEvery)
-	}
-	if c.CacheTTLMin != 0 || c.CacheTTLMax != 0 {
-		if c.CacheTTL <= 0 {
-			return c, fmt.Errorf("%w: cache ttl adaptation needs a starting CacheTTL > 0", ErrBadConfig)
-		}
-		if c.CacheTTLMin <= 0 || c.CacheTTLMax <= 0 ||
-			c.CacheTTLMin > c.CacheTTL || c.CacheTTL > c.CacheTTLMax {
-			return c, fmt.Errorf("%w: cache ttl bounds need 0 < min %v ≤ ttl %v ≤ max %v",
-				ErrBadConfig, c.CacheTTLMin, c.CacheTTL, c.CacheTTLMax)
-		}
-		if c.CacheAdaptEvery == 0 {
-			c.CacheAdaptEvery = 10 * time.Second
-		}
-	} else if c.CacheAdaptEvery > 0 {
-		return c, fmt.Errorf("%w: cache adapt period set without CacheTTLMin/CacheTTLMax bounds", ErrBadConfig)
 	}
 	if c.CandidateK < 0 {
 		return c, fmt.Errorf("%w: candidate k %d must be ≥ 0 (0 picks √n)", ErrBadConfig, c.CandidateK)
@@ -452,27 +417,6 @@ type System struct {
 	// pipe serves the System's group queries over localMembers, with
 	// groupCache as its memo.
 	pipe *Pipeline
-
-	// TTL adaptation state (Config.CacheTTLMin/Max): adaptPrev holds
-	// the previous tick's lifetime counters per layer so each
-	// AdaptCacheTTLOnce call advises on a delta window; simTTL carries
-	// the adapted similarity lease across full invalidations (the memo
-	// table is rebuilt on profile writes, and a rebuild must not reset
-	// the lease the advisor converged on). adaptStop ends the
-	// background loop; Close fires it once and waits on adaptDone so
-	// no adaptation tick can race the cache teardown that follows.
-	adaptMu   sync.Mutex
-	adaptPrev [3]ttlWindow
-	adaptStop chan struct{}
-	adaptDone chan struct{}
-	stopAdapt sync.Once
-	simTTL    atomic.Int64
-}
-
-// ttlWindow is one cache layer's lifetime counters at the previous
-// adaptation tick — the baseline the next tick's deltas subtract.
-type ttlWindow struct {
-	hits, misses, expirations uint64
 }
 
 // groupScopeRatings is the one eviction scope every group-input memo
@@ -528,11 +472,6 @@ func NewWithOntology(cfg Config, ont *ontology.Ontology) (*System, error) {
 	// reports its touched user here, and the scoped invalidation routes
 	// it down the cache layers.
 	sys.ratings.OnWrite(func(u model.UserID) { sys.invalidateUsers(u) })
-	if c.CacheTTLMin > 0 && c.CacheTTLMax > 0 {
-		sys.adaptStop = make(chan struct{})
-		sys.adaptDone = make(chan struct{})
-		go sys.adaptLoop(c.CacheAdaptEvery)
-	}
 	return sys, nil
 }
 
@@ -627,18 +566,12 @@ func (s *System) applyRecord(rec wal.Record) error {
 // background work stops. Required for TTL'd systems; harmless
 // otherwise, and safe to call more than once.
 //
-// Teardown order matters: the loops that MUTATE caches stop first —
-// the TTL-adaptation loop is signalled and awaited (a mid-tick SetTTL
-// racing teardown was possible when Close only signalled it), and the
-// candidate index waits out any background rebuild — and only then are
-// the cache layers and providers closed. Partitioned serving closes N
-// systems concurrently, which is exactly the schedule that surfaced
-// the old ordering.
+// Teardown order matters: the candidate index waits out any
+// background rebuild (which mutates caches) before the cache layers
+// and providers are closed. Partitioned serving closes N systems
+// concurrently, which is exactly the schedule that surfaced the old
+// ordering.
 func (s *System) Close() error {
-	if s.adaptStop != nil {
-		s.stopAdapt.Do(func() { close(s.adaptStop) })
-		<-s.adaptDone
-	}
 	if s.candIdx != nil {
 		s.candIdx.Close()
 	}
@@ -833,9 +766,8 @@ type CacheCounters struct {
 	// cost 1, peer sets len(peers)+1, group inputs their total
 	// candidate scores) — the quantity Config.CacheMaxCost bounds.
 	Cost int64 `json:"cost"`
-	// TTLSeconds is the layer's CURRENT lease. It starts at
-	// Config.CacheTTL and moves within [CacheTTLMin, CacheTTLMax] when
-	// TTL adaptation is enabled; 0 means no expiry.
+	// TTLSeconds is the layer's lease, Config.CacheTTL; 0 means no
+	// expiry.
 	TTLSeconds float64 `json:"ttl_seconds"`
 	// Ages buckets the stored entries by age (expired-but-unreaped
 	// entries included at their true age, so the buckets total Entries
@@ -904,7 +836,7 @@ func (s *System) CacheStats() CacheStats {
 	simCache := s.simCache
 	s.mu.Unlock()
 	sim.Ages = ageHistogram(nil)
-	sim.TTLSeconds = s.simLease().Seconds()
+	sim.TTLSeconds = s.cfg.CacheTTL.Seconds()
 	if simCache != nil {
 		st := simCache.Stats()
 		sim.Hits += st.Hits
@@ -925,124 +857,11 @@ func (s *System) CacheStats() CacheStats {
 			Expirations: ps.Expirations,
 			Entries:     ps.Entries,
 			Cost:        ps.Cost,
-			TTLSeconds:  s.peerCache.TTL().Seconds(),
+			TTLSeconds:  s.cfg.CacheTTL.Seconds(),
 			Ages:        ageHistogram(s.peerCache.AgeHistogram(ageBounds)),
 		},
 		Groups: s.pipe.MemoStats(),
 	}
-}
-
-// simLease is the similarity layer's current lease: the live memo
-// table's if one exists, else the advisor's last pick (applied to the
-// next rebuild), else the configured start.
-func (s *System) simLease() time.Duration {
-	s.mu.Lock()
-	simCache := s.simCache
-	s.mu.Unlock()
-	if simCache != nil {
-		return simCache.TTL()
-	}
-	if adapted := time.Duration(s.simTTL.Load()); adapted > 0 {
-		return adapted
-	}
-	return s.cfg.CacheTTL
-}
-
-// adaptLoop drives TTL adaptation until Close. adaptDone signals loop
-// exit so Close can sequence cache teardown after the final tick.
-func (s *System) adaptLoop(every time.Duration) {
-	defer close(s.adaptDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.adaptStop:
-			return
-		case <-t.C:
-			s.AdaptCacheTTLOnce()
-		}
-	}
-}
-
-// AdaptCacheTTLOnce runs one TTL-adaptation tick: for each shared
-// cache layer (similarity memo, peer cache, group-input memo) it feeds
-// the hit/miss/expiry deltas since the previous tick plus a fresh
-// entry-age histogram to cache.AdviseTTL and applies the advice within
-// [Config.CacheTTLMin, Config.CacheTTLMax]. A no-op unless adaptation
-// is configured. The background loop calls this every
-// Config.CacheAdaptEvery; it is exported so tests and ops tooling can
-// step adaptation deterministically.
-//
-// Adaptation moves each lease independently — layers see different
-// traffic (one similarity row serves many peer lookups) — and only
-// changes when entries die: an expired entry is recomputed from the
-// same stores, so a warm hit stays bit-identical to a cold rebuild
-// under every lease this picks.
-func (s *System) AdaptCacheTTLOnce() {
-	lo, hi := s.cfg.CacheTTLMin, s.cfg.CacheTTLMax
-	if lo <= 0 || hi <= 0 {
-		return
-	}
-	s.adaptMu.Lock()
-	defer s.adaptMu.Unlock()
-
-	// Similarity memo: lifetime counters are discarded-table base plus
-	// the live table, the same bookkeeping as CacheStats.
-	s.mu.Lock()
-	base := s.simBase
-	simCache := s.simCache
-	s.mu.Unlock()
-	if simCache != nil {
-		st := simCache.Stats()
-		cur := simCache.TTL()
-		w := ttlWindow{base.Hits + st.Hits, base.Misses + st.Misses, base.Expirations + st.Expirations}
-		next := cache.AdviseTTL(cur, lo, hi, cache.TTLSignal{
-			Hits:        counterDelta(w.hits, s.adaptPrev[0].hits),
-			Misses:      counterDelta(w.misses, s.adaptPrev[0].misses),
-			Expirations: counterDelta(w.expirations, s.adaptPrev[0].expirations),
-			AgeCounts:   simCache.AgeHistogram(cache.AdviceBounds(cur)),
-		})
-		s.adaptPrev[0] = w
-		if next != cur {
-			simCache.SetTTL(next)
-		}
-		s.simTTL.Store(int64(next))
-	}
-
-	ps := s.peerCache.Stats()
-	curP := s.peerCache.TTL()
-	nextP := cache.AdviseTTL(curP, lo, hi, cache.TTLSignal{
-		Hits:        counterDelta(ps.Hits, s.adaptPrev[1].hits),
-		Misses:      counterDelta(ps.Misses, s.adaptPrev[1].misses),
-		Expirations: counterDelta(ps.Expirations, s.adaptPrev[1].expirations),
-		AgeCounts:   s.peerCache.AgeHistogram(cache.AdviceBounds(curP)),
-	})
-	s.adaptPrev[1] = ttlWindow{ps.Hits, ps.Misses, ps.Expirations}
-	if nextP != curP {
-		s.peerCache.SetTTL(nextP)
-	}
-
-	gs := s.groupCache.Stats()
-	curG := s.groupCache.TTL()
-	nextG := cache.AdviseTTL(curG, lo, hi, cache.TTLSignal{
-		Hits:        counterDelta(gs.Hits, s.adaptPrev[2].hits),
-		Misses:      counterDelta(gs.Misses, s.adaptPrev[2].misses),
-		Expirations: counterDelta(gs.Expirations, s.adaptPrev[2].expirations),
-		AgeCounts:   s.groupCache.AgeHistogram(cache.AdviceBounds(curG)),
-	})
-	s.adaptPrev[2] = ttlWindow{gs.Hits, gs.Misses, gs.Expirations}
-	if nextG != curG {
-		s.groupCache.SetTTL(nextG)
-	}
-}
-
-// counterDelta is a saturating now−prev over monotonic counters (a
-// racing snapshot can observe components out of order).
-func counterDelta(now, prev uint64) uint64 {
-	if now < prev {
-		return 0
-	}
-	return now - prev
 }
 
 // CandidateIndexStats snapshots the cluster peer-candidate index
@@ -1309,10 +1128,6 @@ func (s *System) similarity() (simfn.UserSimilarity, error) {
 		MaxEntries: s.cfg.CacheMaxEntries,
 		MaxCost:    s.cfg.CacheMaxCost,
 	})
-	// A rebuild must not reset the lease the TTL advisor converged on.
-	if adapted := time.Duration(s.simTTL.Load()); adapted > 0 {
-		s.simCache.SetTTL(adapted)
-	}
 	s.simDirty = false
 	return s.simCache, nil
 }

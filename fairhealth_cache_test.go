@@ -278,98 +278,17 @@ func TestRatingsSimilarityKeepsNoMemo(t *testing.T) {
 	assertSystemsAgree(t, "ratings similarity after a write", sys, rebuildFrom(t, sys), groups[:3])
 }
 
-// TestAdaptiveCacheConfigValidation covers the Config surface of TTL
-// adaptation and the cost bound.
+// TestAdaptiveCacheConfigValidation covers the Config surface of the
+// cost bound.
 func TestAdaptiveCacheConfigValidation(t *testing.T) {
-	bad := map[string]Config{
-		"cost negative":         {CacheMaxCost: -1},
-		"bounds without ttl":    {CacheTTLMin: time.Second, CacheTTLMax: time.Minute},
-		"min above ttl":         {CacheTTL: time.Second, CacheTTLMin: 2 * time.Second, CacheTTLMax: time.Minute},
-		"ttl above max":         {CacheTTL: time.Minute, CacheTTLMin: time.Second, CacheTTLMax: 30 * time.Second},
-		"min unset":             {CacheTTL: time.Minute, CacheTTLMax: time.Hour},
-		"period without bounds": {CacheAdaptEvery: time.Second},
-		"period negative":       {CacheTTL: time.Minute, CacheTTLMin: time.Second, CacheTTLMax: time.Hour, CacheAdaptEvery: -time.Second},
+	if _, err := New(Config{CacheMaxCost: -1}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("cost negative: err = %v, want ErrBadConfig", err)
 	}
-	for name, cfg := range bad {
-		if _, err := New(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
-		}
-	}
-	sys, err := New(Config{CacheTTL: time.Minute, CacheTTLMin: time.Second, CacheTTLMax: time.Hour, CacheMaxCost: 4096})
+	sys, err := New(Config{CacheTTL: time.Minute, CacheMaxCost: 4096})
 	if err != nil {
-		t.Fatalf("valid adaptive knobs rejected: %v", err)
+		t.Fatalf("valid cost bound rejected: %v", err)
 	}
 	defer sys.Close()
-	if got := sys.Config().CacheAdaptEvery; got != 10*time.Second {
-		t.Errorf("CacheAdaptEvery defaulted to %v, want 10s", got)
-	}
-}
-
-// TestAdaptiveTTLEquivalence is the acceptance property for TTL
-// adaptation: with the advisor actively moving leases between serves
-// (including across expiry), warm answers stay bit-identical to a
-// freshly built system's, the reported leases stay inside
-// [CacheTTLMin, CacheTTLMax], and the adapted similarity lease
-// survives a full invalidation's table rebuild.
-func TestAdaptiveTTLEquivalence(t *testing.T) {
-	const ttl = 40 * time.Millisecond
-	lo, hi := 10*time.Millisecond, 500*time.Millisecond
-	sys, err := New(Config{
-		Delta: 0.55, MinOverlap: 4, K: 8,
-		CacheTTL: ttl, CacheTTLMin: lo, CacheTTLMax: hi,
-		CacheAdaptEvery: time.Hour, // ticks driven by hand below
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	ref, groups := batchSystem(t, 1)
-	for _, tr := range ref.RatingTriples() {
-		if err := sys.AddRating(tr.User, tr.Item, tr.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	groups = groups[:3]
-	var results [][]BatchGroupResult
-	for round := 0; round < 4; round++ {
-		batch, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, batch)
-		sys.AdaptCacheTTLOnce()
-		if round == 1 {
-			time.Sleep(2 * ttl) // let leases lapse so expiry feeds the advisor
-		}
-		st := sys.CacheStats()
-		for name, c := range map[string]CacheCounters{"similarity": st.Similarity, "peers": st.Peers, "groups": st.Groups} {
-			if sec := c.TTLSeconds; sec < lo.Seconds() || sec > hi.Seconds() {
-				t.Fatalf("round %d: %s lease %vs escaped [%v, %v]", round, name, sec, lo, hi)
-			}
-		}
-	}
-	for round := 1; round < len(results); round++ {
-		for k := range groups {
-			if results[round][k].Err != nil {
-				t.Fatalf("round %d group %d: %v", round, k, results[round][k].Err)
-			}
-			if fmt.Sprintf("%+v", results[0][k].Result) != fmt.Sprintf("%+v", results[round][k].Result) {
-				t.Fatalf("group %d: answer drifted under TTL adaptation (round %d):\n %+v\n %+v",
-					k, round, results[0][k].Result, results[round][k].Result)
-			}
-		}
-	}
-	// A full flush rebuilds the similarity memo; the rebuilt table must
-	// carry the adapted lease, not reset to Config.CacheTTL.
-	adapted := sys.CacheStats().Similarity.TTLSeconds
-	sys.InvalidateCaches()
-	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.CacheStats().Similarity.TTLSeconds; got != adapted {
-		t.Errorf("similarity lease reset across full invalidation: %v → %v", adapted, got)
-	}
-	assertSystemsAgree(t, "under TTL adaptation", sys, rebuildFrom(t, sys), groups)
 }
 
 // TestCacheMaxCostBound: the cost budget holds under serving (observable

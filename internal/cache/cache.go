@@ -9,16 +9,12 @@
 //     shards by a caller-supplied hash, each with its own lock, so
 //     concurrent lookups and stores of different keys do not serialize
 //     on one global mutex.
-//   - Per-entry TTL: entries written more than the current TTL ago
-//     answer as misses and are reaped — lazily on lookup and
-//     periodically by a background janitor goroutine (Close stops it) —
-//     so long-idle entries age out instead of living forever. The TTL
-//     is dynamic: SetTTL retunes it at runtime (AdviseTTL derives a
-//     recommendation from hit/expiry counters and the age histogram),
-//     and expiry is always evaluated against the CURRENT TTL, so a
-//     lease change applies to live entries too. Adaptation changes
-//     when entries die, never what a hit returns: a recomputation
-//     after expiry reads the same underlying data.
+//   - Per-entry TTL: entries written more than the TTL ago answer as
+//     misses and are reaped — lazily on lookup and periodically by a
+//     background janitor goroutine (Close stops it) — so long-idle
+//     entries age out instead of living forever. Expiry changes when
+//     entries die, never what a hit returns: a recomputation after
+//     expiry reads the same underlying data.
 //   - LRU capacity bounds: Config.MaxEntries caps the table by entry
 //     count and Config.MaxCost by total entry cost (a caller-supplied
 //     per-entry cost function — peers in a set, scores in an assembled
@@ -97,9 +93,7 @@ type Config[K comparable, V any] struct {
 	// Shards is the shard count, rounded up to a power of two.
 	// 0 means DefaultShards (or 1 when Hash is nil).
 	Shards int
-	// TTL bounds each entry's lifetime; 0 disables expiry. It is the
-	// INITIAL lease — SetTTL retunes it at runtime and expiry is
-	// always checked against the current value.
+	// TTL bounds each entry's lifetime; 0 disables expiry.
 	TTL time.Duration
 	// MaxEntries caps the table size; inserts beyond a shard's share
 	// evict least-recently-used entries. The bound is enforced per
@@ -121,11 +115,10 @@ type Config[K comparable, V any] struct {
 	Cost func(K, V) int64
 	// Now is the clock (tests inject a fake one); nil means time.Now.
 	Now func() time.Time
-	// JanitorInterval is the period of the background expiry sweep.
-	// 0 derives it from the TTL (floored at minJanitorInterval),
-	// negative disables the janitor (lazy expiry still applies). The
-	// janitor runs when TTL > 0 or when a positive interval is given
-	// explicitly (for caches built lease-less and retuned by SetTTL).
+	// JanitorInterval is the period of the background expiry sweep,
+	// which runs only when TTL > 0. 0 derives it from the TTL (floored
+	// at minJanitorInterval), negative disables the janitor (lazy
+	// expiry still applies).
 	JanitorInterval time.Duration
 }
 
@@ -168,7 +161,7 @@ type entry[K comparable, S comparable, V any] struct {
 	// links[i] threads this entry into the chain of scopes[i] when
 	// chained (scopes then aliases scopesInline, so i < 2).
 	links    [2]scopeLink[K, S, V]
-	storedAt int64 // unix nanos; expiry is storedAt + the CURRENT TTL
+	storedAt int64 // unix nanos; expiry is storedAt + the TTL
 	cost     int64 // price under Config.Cost; feeds the MaxCost bound
 	prev     *entry[K, S, V]
 	next     *entry[K, S, V]
@@ -296,10 +289,7 @@ type Cache[K comparable, S comparable, V any] struct {
 	mask   uint32
 	hash   func(K) uint32
 
-	// ttlNanos is the current lease in nanoseconds (0 = never expire).
-	// Atomic because SetTTL retunes it at runtime while lookups and
-	// sweeps read it; every expiry decision loads the current value.
-	ttlNanos  atomic.Int64
+	ttlNanos  int64 // the lease in nanoseconds; 0 = never expire
 	shardCap  int   // per-shard entry bound; 0 = unbounded
 	shardCost int64 // per-shard cost budget; 0 = unbounded
 	costFn    func(K, V) int64
@@ -374,11 +364,11 @@ func New[K comparable, S comparable, V any](cfg Config[K, V]) *Cache[K, S, V] {
 		shardCap:  shardCap,
 		shardCost: shardCost,
 		costFn:    cfg.Cost,
+		ttlNanos:  int64(cfg.TTL),
 		bounded:   shardCap > 0 || shardCost > 0,
 		now:       now,
 		touched:   make(map[S]uint64),
 	}
-	c.ttlNanos.Store(int64(cfg.TTL))
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.entries = make(map[K]*entry[K, S, V])
@@ -392,10 +382,7 @@ func New[K comparable, S comparable, V any](cfg Config[K, V]) *Cache[K, S, V] {
 			sh.tail.prev = sh.head
 		}
 	}
-	// The janitor also starts on an explicit positive JanitorInterval
-	// with TTL 0, so a cache built lease-less but retuned later by
-	// SetTTL still gets swept.
-	if (cfg.TTL > 0 || cfg.JanitorInterval > 0) && cfg.JanitorInterval >= 0 {
+	if cfg.TTL > 0 && cfg.JanitorInterval >= 0 {
 		interval := cfg.JanitorInterval
 		if interval == 0 {
 			interval = cfg.TTL
@@ -409,23 +396,9 @@ func New[K comparable, S comparable, V any](cfg Config[K, V]) *Cache[K, S, V] {
 	return c
 }
 
-// SetTTL retunes the lease at runtime (0 disables expiry, negative is
-// clamped to 0). The new value applies to live entries too: expiry is
-// evaluated as storedAt + current TTL, so shrinking the lease ages
-// entries out sooner and growing it extends them — changing only WHEN
-// entries die, never what a hit returns. Sweeping relies on the
-// janitor started at New (an explicit JanitorInterval starts one even
-// with TTL 0); lazy expiry on lookup always applies.
-func (c *Cache[K, S, V]) SetTTL(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	c.ttlNanos.Store(int64(d))
-}
-
-// TTL returns the current lease (0 = never expire).
+// TTL returns the lease (0 = never expire).
 func (c *Cache[K, S, V]) TTL() time.Duration {
-	return time.Duration(c.ttlNanos.Load())
+	return time.Duration(c.ttlNanos)
 }
 
 // Close stops the background janitor (if any). The cache remains
@@ -443,21 +416,15 @@ func (c *Cache[K, S, V]) shard(k K) *shard[K, S, V] {
 	return &c.shards[c.hash(k)&c.mask]
 }
 
-// expiredAt reports whether e is past the CURRENT TTL at now (unix
-// nanos). now == 0 means the caller skipped the clock because no TTL
-// was set at read time; a concurrent SetTTL after that read at worst
-// delays one entry's expiry to its next lookup.
+// expiredAt reports whether e is past the TTL at now (unix nanos).
+// now == 0 means the caller skipped the clock because no TTL is set.
 func (c *Cache[K, S, V]) expiredAt(e *entry[K, S, V], now int64) bool {
-	if now == 0 {
-		return false
-	}
-	ttl := c.ttlNanos.Load()
-	return ttl > 0 && now > e.storedAt+ttl
+	return now != 0 && now > e.storedAt+c.ttlNanos
 }
 
 // nowNano returns the clock reading only when TTL checks need one.
 func (c *Cache[K, S, V]) nowNano() int64 {
-	if c.ttlNanos.Load() <= 0 {
+	if c.ttlNanos <= 0 {
 		return 0
 	}
 	return c.now().UnixNano()
@@ -966,7 +933,7 @@ func (c *Cache[K, S, V]) janitor(interval time.Duration) {
 // exported so tests with an injected clock can trigger it
 // deterministically.
 func (c *Cache[K, S, V]) Sweep() {
-	if c.ttlNanos.Load() <= 0 {
+	if c.ttlNanos <= 0 {
 		return
 	}
 	now := c.now().UnixNano()

@@ -188,15 +188,6 @@ func NewPeerCacheWith(opts PeerCacheOptions) *PeerCache {
 	}
 }
 
-// SetTTL retargets the cache's lease; live sets are re-judged against
-// the new value on their next lookup or sweep. Expiry only removes
-// sets — the next Peers call rebuilds from current data — so
-// adaptation never changes what a hit returns.
-func (c *PeerCache) SetTTL(d time.Duration) { c.c.SetTTL(d) }
-
-// TTL reports the current lease.
-func (c *PeerCache) TTL() time.Duration { return c.c.TTL() }
-
 // Close stops the cache's background janitor (a no-op without a TTL).
 // The cache remains usable afterwards.
 func (c *PeerCache) Close() { c.c.Close() }

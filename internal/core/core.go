@@ -77,6 +77,16 @@ func (in *Input) validate(z int) error {
 	return nil
 }
 
+// resultCap bounds a greedy result buffer by what the lists can fill,
+// so a z far beyond the candidates allocates no more than they hold.
+func (in *Input) resultCap(z int) int {
+	n := 0
+	for _, u := range in.Group {
+		n += len(in.Lists[u])
+	}
+	return min(z, n)
+}
+
 // Result describes a selected recommendation set with its quality
 // measures.
 type Result struct {
@@ -171,8 +181,9 @@ func GreedyContext(ctx context.Context, in Input, z int) (Result, error) {
 		return Result{}, err
 	}
 	n := len(in.Group)
-	d := make([]model.ItemID, 0, z)
-	inD := make(model.ItemSet, z)
+	c := in.resultCap(z)
+	d := make([]model.ItemID, 0, c)
+	inD := make(model.ItemSet, c)
 
 	if n == 1 {
 		for _, it := range in.Lists[in.Group[0]] {
@@ -317,8 +328,9 @@ func GreedyReference(in Input, z int) (Result, error) {
 		return Result{}, err
 	}
 	n := len(in.Group)
-	d := make([]model.ItemID, 0, z)
-	inD := make(model.ItemSet, z)
+	c := in.resultCap(z)
+	d := make([]model.ItemID, 0, c)
+	inD := make(model.ItemSet, c)
 
 	add := func(i model.ItemID) {
 		d = append(d, i)

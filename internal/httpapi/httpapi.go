@@ -145,15 +145,9 @@ func NewWithOptions(sys Backend, opts Options) *Server {
 	if opts.MaxInFlight == 0 {
 		opts.MaxInFlight = DefaultMaxInFlight
 	}
-	if opts.MinInFlight == 0 {
-		opts.MinInFlight = DefaultMinInFlight
-	}
-	if opts.MinInFlight > opts.MaxInFlight {
-		opts.MinInFlight = opts.MaxInFlight
-	}
 	s := &Server{sys: sys, mux: http.NewServeMux(), log: opts.Logger, opts: opts}
 	if opts.MaxInFlight > 0 {
-		s.lim = newLimiter(opts.MaxInFlight, opts.MinInFlight, opts.TargetP95)
+		s.lim = newLimiter(opts.MaxInFlight)
 	}
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)

@@ -1,68 +1,27 @@
 package httpapi
 
-// The in-flight limiter: a fixed admission bound, optionally made
-// adaptive with AIMD (additive-increase / multiplicative-decrease —
-// the TCP congestion-control shape) driven by observed request
-// latency. In adaptive mode the limit starts at MaxInFlight and is
-// retargeted once per window of served requests: if the window's p95
-// latency exceeds the configured target the limit halves (fast
-// backoff under overload); otherwise it creeps up by one (slow probe
-// for headroom). The limit never leaves [MinInFlight, MaxInFlight],
-// so a latency spike can shed load but never black-hole the server,
-// and recovery never overshoots the configured hard cap.
+// The in-flight limiter: a fixed admission bound. A request arriving
+// while MaxInFlight others are being served is answered 429/overloaded
+// at once rather than queued, so overload degrades crisply instead of
+// piling latency.
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
+import "sync/atomic"
 
-	"fairhealth/internal/hdr"
-)
-
-// limiterWindow is the number of served requests between AIMD
-// adjustments. Small enough to react within a second of sustained
-// load, large enough that a p95 over the window is meaningful.
-const limiterWindow = 64
-
-// DefaultMinInFlight is the adaptive limiter's floor when Options
-// leaves MinInFlight zero.
-const DefaultMinInFlight = 4
-
-// limiter admits up to limit concurrent requests. Acquire/Release are
-// lock-free; the latency window behind adaptive mode takes a mutex
-// only on the observation path.
+// limiter admits up to max concurrent requests. acquire and release
+// are lock-free.
 type limiter struct {
-	max      int64 // hard ceiling: MaxInFlight
-	min      int64 // adaptive floor: MinInFlight
-	targetNs int64 // adaptive p95 target (0 = fixed limiter)
-
-	limit    atomic.Int64 // current admission bound, in [min, max]
+	max      int64
 	inflight atomic.Int64
 	rejected atomic.Uint64
-	lastP95  atomic.Int64 // p95 of the last completed window, ns
-
-	mu   sync.Mutex
-	hist *hdr.Histogram // current observation window
 }
 
-// newLimiter builds a limiter admitting max concurrent requests. A
-// positive target switches on AIMD adaptation with floor min.
-func newLimiter(max, min int, target time.Duration) *limiter {
-	l := &limiter{max: int64(max), min: int64(min), targetNs: int64(target)}
-	l.limit.Store(int64(max))
-	if l.targetNs > 0 {
-		l.hist = hdr.New()
-	}
-	return l
-}
-
-// adaptive reports whether the limit moves with observed latency.
-func (l *limiter) adaptive() bool { return l.targetNs > 0 }
+// newLimiter builds a limiter admitting max concurrent requests.
+func newLimiter(max int) *limiter { return &limiter{max: int64(max)} }
 
 // acquire claims an admission slot, reporting false (and counting the
-// rejection) when the server is at its current limit.
+// rejection) when the server is at its limit.
 func (l *limiter) acquire() bool {
-	if l.inflight.Add(1) > l.limit.Load() {
+	if l.inflight.Add(1) > l.max {
 		l.inflight.Add(-1)
 		l.rejected.Add(1)
 		return false
@@ -70,54 +29,16 @@ func (l *limiter) acquire() bool {
 	return true
 }
 
-// release returns a slot and, in adaptive mode, feeds the request's
-// service time into the AIMD window.
-func (l *limiter) release(elapsed time.Duration) {
-	l.inflight.Add(-1)
-	if !l.adaptive() {
-		return
-	}
-	l.mu.Lock()
-	l.hist.Record(int64(elapsed))
-	if l.hist.Count() >= limiterWindow {
-		p95 := l.hist.Quantile(0.95)
-		l.hist.Reset()
-		l.lastP95.Store(p95)
-		l.retarget(p95)
-	}
-	l.mu.Unlock()
-}
-
-// retarget applies one AIMD step against the window's p95.
-func (l *limiter) retarget(p95 int64) {
-	cur := l.limit.Load()
-	next := cur
-	if p95 > l.targetNs {
-		next = cur / 2 // multiplicative decrease: shed load fast
-	} else if cur < l.max {
-		next = cur + 1 // additive increase: probe for headroom
-	}
-	if next < l.min {
-		next = l.min
-	}
-	if next > l.max {
-		next = l.max
-	}
-	if next != cur {
-		l.limit.Store(next)
-	}
-}
+// release returns a slot.
+func (l *limiter) release() { l.inflight.Add(-1) }
 
 // snapshot reports the limiter's state for /v1/stats.
 func (l *limiter) snapshot() *ServerStats {
 	return &ServerStats{
 		InFlight:      l.inflight.Load(),
-		InFlightLimit: l.limit.Load(),
+		InFlightLimit: l.max,
 		MaxInFlight:   l.max,
 		Rejected:      l.rejected.Load(),
-		Adaptive:      l.adaptive(),
-		TargetP95Ms:   float64(l.targetNs) / 1e6,
-		ObservedP95Ms: float64(l.lastP95.Load()) / 1e6,
 	}
 }
 
@@ -127,19 +48,10 @@ func (l *limiter) snapshot() *ServerStats {
 type ServerStats struct {
 	// InFlight is the number of requests being served right now.
 	InFlight int64 `json:"inflight"`
-	// InFlightLimit is the current admission bound. Fixed mode pins it
-	// to MaxInFlight; adaptive mode moves it in [MinInFlight,
-	// MaxInFlight].
+	// InFlightLimit is the admission bound, always MaxInFlight.
 	InFlightLimit int64 `json:"inflight_limit"`
-	// MaxInFlight is the configured hard ceiling.
+	// MaxInFlight is the configured bound.
 	MaxInFlight int64 `json:"max_inflight"`
 	// Rejected counts requests answered 429 since startup.
 	Rejected uint64 `json:"rejected"`
-	// Adaptive reports whether AIMD latency adaptation is on.
-	Adaptive bool `json:"adaptive"`
-	// TargetP95Ms is the adaptive latency target (0 in fixed mode).
-	TargetP95Ms float64 `json:"target_p95_ms,omitempty"`
-	// ObservedP95Ms is the p95 of the last completed adaptation
-	// window (0 until one window has filled).
-	ObservedP95Ms float64 `json:"observed_p95_ms,omitempty"`
 }

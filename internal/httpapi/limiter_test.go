@@ -5,79 +5,16 @@ import (
 	"log"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"fairhealth"
 )
 
-// fillWindow feeds one full observation window of identical service
-// times through the limiter (acquire+release keeps inflight balanced).
-func fillWindow(l *limiter, elapsed time.Duration) {
-	for i := 0; i < limiterWindow; i++ {
-		l.acquire()
-		l.release(elapsed)
-	}
-}
-
-// TestAIMDBackoffAndRecovery: a hot window halves the limit, repeated
-// hot windows floor at min, and cool windows climb back one step per
-// window up to max.
-func TestAIMDBackoffAndRecovery(t *testing.T) {
-	l := newLimiter(16, 2, 10*time.Millisecond)
-	if got := l.limit.Load(); got != 16 {
-		t.Fatalf("initial limit = %d, want 16", got)
-	}
-
-	fillWindow(l, 50*time.Millisecond) // p95 over target
-	if got := l.limit.Load(); got != 8 {
-		t.Fatalf("limit after one hot window = %d, want 8", got)
-	}
-	if p95 := l.lastP95.Load(); p95 < int64(40*time.Millisecond) {
-		t.Fatalf("observed p95 = %d, want ~50ms", p95)
-	}
-
-	// Sustained overload: 8 → 4 → 2, then pinned at the floor.
-	for i := 0; i < 5; i++ {
-		fillWindow(l, 50*time.Millisecond)
-	}
-	if got := l.limit.Load(); got != 2 {
-		t.Fatalf("limit under sustained overload = %d, want floor 2", got)
-	}
-
-	// Recovery: each cool window adds one.
-	fillWindow(l, time.Millisecond)
-	if got := l.limit.Load(); got != 3 {
-		t.Fatalf("limit after one cool window = %d, want 3", got)
-	}
-	for i := 0; i < 40; i++ {
-		fillWindow(l, time.Millisecond)
-	}
-	if got := l.limit.Load(); got != 16 {
-		t.Fatalf("recovered limit = %d, want ceiling 16", got)
-	}
-}
-
-// TestFixedLimiterDoesNotAdapt: with no target, service times never
-// move the limit.
-func TestFixedLimiterDoesNotAdapt(t *testing.T) {
-	l := newLimiter(8, 2, 0)
-	for i := 0; i < 4*limiterWindow; i++ {
-		l.acquire()
-		l.release(time.Second)
-	}
-	if got := l.limit.Load(); got != 8 {
-		t.Fatalf("fixed limit moved to %d, want 8", got)
-	}
-	if l.adaptive() {
-		t.Fatal("limiter with zero target reports adaptive")
-	}
-}
-
 // TestLimiterRejectsAtBound: acquire beyond the limit fails and is
 // counted; release restores capacity.
 func TestLimiterRejectsAtBound(t *testing.T) {
-	l := newLimiter(2, 1, 0)
+	l := newLimiter(2)
 	if !l.acquire() || !l.acquire() {
 		t.Fatal("limiter rejected within its bound")
 	}
@@ -87,32 +24,44 @@ func TestLimiterRejectsAtBound(t *testing.T) {
 	if got := l.rejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
-	l.release(0)
+	l.release()
 	if !l.acquire() {
 		t.Fatal("limiter rejected after release freed a slot")
 	}
 }
 
 // TestLimiterConcurrentAdaptation hammers acquire/release from many
-// goroutines while windows roll over — the -race check on the
-// lock-free admission path.
+// goroutines — the -race check on the lock-free admission path: no
+// more than the bound is ever admitted at once, every attempt is
+// either admitted or counted as rejected, and nothing stays in flight.
 func TestLimiterConcurrentAdaptation(t *testing.T) {
-	l := newLimiter(8, 2, 5*time.Millisecond)
+	const bound, workers, attempts = 3, 8, 500
+	l := newLimiter(bound)
+	var admitted, cur, peak atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				if l.acquire() {
-					l.release(time.Duration(i%10) * time.Millisecond)
+			for i := 0; i < attempts; i++ {
+				if !l.acquire() {
+					continue
 				}
+				admitted.Add(1)
+				n := cur.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				cur.Add(-1)
+				l.release()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if got := l.limit.Load(); got < 2 || got > 8 {
-		t.Fatalf("limit %d escaped [2, 8]", got)
+	if p := peak.Load(); p > bound {
+		t.Fatalf("%d requests admitted at once, bound %d", p, bound)
+	}
+	if got := admitted.Load() + int64(l.rejected.Load()); got != workers*attempts {
+		t.Fatalf("admitted+rejected = %d, want %d", got, workers*attempts)
 	}
 	if l.inflight.Load() != 0 {
 		t.Fatalf("inflight = %d after all requests finished", l.inflight.Load())
@@ -126,12 +75,7 @@ func TestStatsServerSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWithOptions(sys, Options{
-		Logger:      log.New(io.Discard, "", 0),
-		MaxInFlight: 32,
-		MinInFlight: 4,
-		TargetP95:   250 * time.Millisecond,
-	})
+	srv := NewWithOptions(sys, Options{Logger: log.New(io.Discard, "", 0), MaxInFlight: 32})
 	rec := do(t, srv, "GET", "/v1/stats", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status = %d", rec.Code)
@@ -140,48 +84,17 @@ func TestStatsServerSection(t *testing.T) {
 	if st.Server == nil {
 		t.Fatal("stats response missing server section")
 	}
-	if !st.Server.Adaptive {
-		t.Error("adaptive limiter not reported adaptive")
-	}
 	if st.Server.InFlightLimit != 32 || st.Server.MaxInFlight != 32 {
 		t.Errorf("limit = %d / max = %d, want 32 / 32", st.Server.InFlightLimit, st.Server.MaxInFlight)
 	}
-	if st.Server.TargetP95Ms != 250 {
-		t.Errorf("target_p95_ms = %v, want 250", st.Server.TargetP95Ms)
+	// The stats request itself is the one request in flight.
+	if st.Server.InFlight != 1 || st.Server.Rejected != 0 {
+		t.Errorf("inflight = %d / rejected = %d, want 1 / 0", st.Server.InFlight, st.Server.Rejected)
 	}
 
 	unlimited := NewWithOptions(sys, Options{Logger: log.New(io.Discard, "", 0), MaxInFlight: -1})
 	st = decode[StatsResponse](t, do(t, unlimited, "GET", "/v1/stats", nil))
 	if st.Server != nil {
 		t.Error("unlimited server still reports a limiter section")
-	}
-}
-
-// TestAdaptiveLimiterShedsUnderSlowHandlers drives a full stack whose
-// handler is slower than the target and checks the admission bound
-// actually comes down and overflow turns into 429s.
-func TestAdaptiveLimiterShedsUnderSlowHandlers(t *testing.T) {
-	sys, err := fairhealth.New(fairhealth.Config{MinOverlap: 1, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithOptions(sys, Options{
-		Logger:      log.New(io.Discard, "", 0),
-		MaxInFlight: 64,
-		MinInFlight: 2,
-		TargetP95:   time.Microsecond, // everything is "too slow"
-	})
-	srv.mux.HandleFunc("GET /work", func(w http.ResponseWriter, _ *http.Request) {
-		time.Sleep(200 * time.Microsecond)
-		w.WriteHeader(http.StatusOK)
-	})
-	for i := 0; i < 4*limiterWindow; i++ {
-		do(t, srv, "GET", "/work", nil)
-	}
-	if got := srv.lim.limit.Load(); got >= 64 {
-		t.Fatalf("limit never backed off: %d", got)
-	}
-	if p95 := srv.lim.lastP95.Load(); p95 <= 0 {
-		t.Fatal("no p95 observed after four windows")
 	}
 }

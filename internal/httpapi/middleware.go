@@ -45,16 +45,6 @@ type Options struct {
 	// DefaultMaxInFlight, < 0 = unlimited). /healthz bypasses the cap
 	// so liveness probes still answer under overload.
 	MaxInFlight int
-	// TargetP95 switches the limiter to adaptive mode: when > 0, the
-	// admission bound AIMD-tracks the observed p95 service time
-	// against this target — halving when a window of requests runs
-	// hot, creeping back up by one when it runs cool — within
-	// [MinInFlight, MaxInFlight]. Zero keeps the fixed MaxInFlight
-	// bound.
-	TargetP95 time.Duration
-	// MinInFlight floors the adaptive limit so backoff can never shed
-	// all capacity (0 = DefaultMinInFlight; ignored in fixed mode).
-	MinInFlight int
 }
 
 // statusWriter records the status and size written through it, and
@@ -104,13 +94,31 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// withRequestID honours an inbound X-Request-ID or assigns a fresh
-// one, echoes it on the response, and stashes it in the context for
-// the logging layer and handlers.
+// validRequestID reports whether an inbound X-Request-ID is safe to
+// echo and log: 1–128 bytes of [A-Za-z0-9._:-]. Anything else (spaces,
+// "=", control bytes) could forge fields of the key=value access log.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > 128 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// withRequestID honours a valid inbound X-Request-ID or assigns a
+// fresh one, echoes it on the response, and stashes it in the context
+// for the logging layer and handlers.
 func (s *Server) withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(requestIDHeader)
-		if id == "" || len(id) > 128 {
+		if !validRequestID(id) {
 			id = fmt.Sprintf("req-%06x", s.reqSeq.Add(1))
 		}
 		w.Header().Set(requestIDHeader, id)
@@ -159,9 +167,7 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 }
 
 // withLimit bounds in-flight requests; a full server answers
-// 429/overloaded immediately. In adaptive mode each admitted
-// request's service time feeds the AIMD window that retargets the
-// bound (see limiter.go). /healthz bypasses the limit.
+// 429/overloaded immediately. /healthz bypasses the limit.
 func (s *Server) withLimit(next http.Handler) http.Handler {
 	if s.lim == nil {
 		return next
@@ -173,11 +179,10 @@ func (s *Server) withLimit(next http.Handler) http.Handler {
 		}
 		if !s.lim.acquire() {
 			s.writeError(w, r, coded(CodeOverloaded,
-				fmt.Errorf("server at capacity (%d requests in flight)", s.lim.limit.Load())))
+				fmt.Errorf("server at capacity (%d requests in flight)", s.lim.max)))
 			return
 		}
-		start := time.Now()
-		defer func() { s.lim.release(time.Since(start)) }()
+		defer s.lim.release()
 		next.ServeHTTP(w, r)
 	})
 }

@@ -164,6 +164,42 @@ func TestBruteForceServerBounds(t *testing.T) {
 	}
 }
 
+// TestHugeZAndKAnswerLikeTheCatalogue: z and k have no upper bound,
+// so every buffer they size is bounded by what the input can fill. A z
+// or k of 2^36 must answer exactly like one equal to the catalogue
+// size, instead of asking the allocator for 2^36 slots.
+func TestHugeZAndKAnswerLikeTheCatalogue(t *testing.T) {
+	srv, sys := newTestServer(t)
+	seed(t, sys)
+	const huge = 1 << 36
+	n := sys.Stats().Items
+	members := []string{"g1", "g2"}
+	for _, method := range []string{"greedy", "brute"} {
+		for name, q := range map[string][2]GroupQueryBody{
+			"z": {
+				{Members: members, Method: method, Z: huge, Explain: true},
+				{Members: members, Method: method, Z: n, Explain: true},
+			},
+			"k": {
+				{Members: members, Method: method, K: huge, Explain: true},
+				{Members: members, Method: method, K: n, Explain: true},
+			},
+		} {
+			got := do(t, srv, "POST", "/v1/groups/recommend", q[0])
+			want := do(t, srv, "POST", "/v1/groups/recommend", q[1])
+			if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+				t.Errorf("%s %s=2^36: status %d body %s, want %s",
+					method, name, got.Code, got.Body.String(), want.Body.String())
+			}
+		}
+	}
+	got := do(t, srv, "GET", "/v1/recommendations?user=g1&k=68719476736", nil)
+	want := do(t, srv, "GET", fmt.Sprintf("/v1/recommendations?user=g1&k=%d", n), nil)
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+		t.Errorf("recommendations k=2^36: status %d body %s, want %s", got.Code, got.Body.String(), want.Body.String())
+	}
+}
+
 // TestTooManyCombinationsIsInvalidQuery pins the classification of the
 // engine's enumeration guard: a client-chosen m/z whose C(m,z) blows
 // the cap must map to 400 invalid_query, not 500 internal.
@@ -403,6 +439,47 @@ func TestRequestIDAssignedAndHonoured(t *testing.T) {
 	srv.ServeHTTP(got, req)
 	if got.Header().Get("X-Request-ID") != "caller-chosen-7" {
 		t.Errorf("inbound request ID not honoured: %q", got.Header().Get("X-Request-ID"))
+	}
+}
+
+// TestForgedRequestIDReplaced: an inbound X-Request-ID outside
+// [A-Za-z0-9._:-]{1,128} is neither echoed nor logged — it could forge
+// access-log fields — and a fresh ID takes its place; a valid one of
+// the full 128 bytes is kept.
+func TestForgedRequestIDReplaced(t *testing.T) {
+	var buf bytes.Buffer
+	sys, err := fairhealth.New(fairhealth.Config{MinOverlap: 1, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewWithOptions(sys, Options{Logger: log.New(&buf, "", 0)})
+	for _, forged := range []string{
+		"abc status=500 path=/v1/forged",
+		"abc\tstatus=500",
+		"id=1",
+		strings.Repeat("a", 129),
+	} {
+		buf.Reset()
+		req := httptest.NewRequest("GET", "/healthz", nil)
+		req.Header.Set("X-Request-ID", forged)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		got := rec.Header().Get("X-Request-ID")
+		if got == forged || !strings.HasPrefix(got, "req-") {
+			t.Errorf("forged ID %q echoed as %q, want a fresh req- ID", forged, got)
+		}
+		line := buf.String()
+		if strings.Contains(line, "forged") || strings.Count(line, "status=") != 1 || !strings.Contains(line, "request_id="+got) {
+			t.Errorf("forged ID %q reached the access log: %q", forged, line)
+		}
+	}
+	valid := "trace-01.span_2:" + strings.Repeat("x", 112)
+	req := httptest.NewRequest("GET", "/healthz", nil)
+	req.Header.Set("X-Request-ID", valid)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if got := rec.Header().Get("X-Request-ID"); got != valid {
+		t.Errorf("valid 128-byte ID replaced by %q", got)
 	}
 }
 

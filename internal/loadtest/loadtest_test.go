@@ -189,17 +189,17 @@ func TestRunAgainstLiveSystem(t *testing.T) {
 }
 
 // TestRunWithConcurrentTTLAdaptation is the -race satellite: sustained
-// mixed load (including cache-flushing writes) runs while the TTL
-// advisor concurrently retargets leases on the live system. Nothing
-// may race, error, or deadlock.
+// mixed load (including cache-flushing writes) runs under a short TTL
+// and a small cost budget, so lazy expiry and cost eviction fire
+// mid-load, while a concurrent scraper reads the cache stats and age
+// histograms. Nothing may race, error, or deadlock, and every layer
+// keeps the configured lease.
 func TestRunWithConcurrentTTLAdaptation(t *testing.T) {
+	const ttl = 30 * time.Millisecond
 	sys, cfg := liveSystem(t, fairhealth.Config{
 		Delta: 0.3, MinOverlap: 2, K: 6,
-		CacheTTL:        30 * time.Millisecond,
-		CacheTTLMin:     5 * time.Millisecond,
-		CacheTTLMax:     250 * time.Millisecond,
-		CacheMaxCost:    2048,
-		CacheAdaptEvery: time.Hour, // ticks driven by hand below
+		CacheTTL:     ttl,
+		CacheMaxCost: 2048,
 	})
 	cfg.Workers = 4
 	cfg.Requests = 120
@@ -207,7 +207,7 @@ func TestRunWithConcurrentTTLAdaptation(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			sys.AdaptCacheTTLOnce()
+			sys.CacheStats()
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -217,7 +217,13 @@ func TestRunWithConcurrentTTLAdaptation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.TotalErrors != 0 {
-		t.Fatalf("errors under concurrent adaptation: %+v", rep.Classes)
+		t.Fatalf("errors under expiry and cost eviction: %+v", rep.Classes)
+	}
+	st := sys.CacheStats()
+	for name, c := range map[string]fairhealth.CacheCounters{"similarity": st.Similarity, "peers": st.Peers, "groups": st.Groups} {
+		if c.TTLSeconds != ttl.Seconds() {
+			t.Errorf("%s lease = %vs, want %v", name, c.TTLSeconds, ttl)
+		}
 	}
 }
 

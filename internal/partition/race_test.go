@@ -87,17 +87,14 @@ func TestConcurrentServeWriteLifecycle(t *testing.T) {
 }
 
 // TestConcurrentClose closes many full systems at once — the regression
-// test for the shutdown ordering fix (background adaptation and index
-// rebuild loops must stop before the caches they touch are closed;
-// partitioned serving closes N systems concurrently, which is what
-// surfaced the old ordering under -race).
+// test for the shutdown ordering fix (the index rebuild loop must stop
+// before the caches it touches are closed; partitioned serving closes
+// N systems concurrently, which is what surfaced the old ordering
+// under -race).
 func TestConcurrentClose(t *testing.T) {
 	cfg := baseConfig()
 	cfg.CandidateIndex = true
 	cfg.CacheTTL = 5 * time.Second
-	cfg.CacheTTLMin = time.Second
-	cfg.CacheTTLMax = 30 * time.Second
-	cfg.CacheAdaptEvery = time.Millisecond // keep the adapt loop busy during Close
 	systems := make([]*fairhealth.System, 6)
 	for i := range systems {
 		sys, err := fairhealth.New(cfg)
@@ -107,7 +104,7 @@ func TestConcurrentClose(t *testing.T) {
 		seed(t, sys, int64(50+i), 12)
 		systems[i] = sys
 	}
-	// Touch the caches so the janitors and adapt loops have state.
+	// Touch the caches so the janitors have state.
 	ctx := context.Background()
 	for _, sys := range systems {
 		ids := sys.Patients()

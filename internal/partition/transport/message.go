@@ -65,6 +65,18 @@ func (c *cursor) uvarint() uint64 {
 	return v
 }
 
+// count reads the count of elements that take at least size bytes
+// each. A count the bytes left cannot hold is a lie: the cursor is
+// poisoned rather than letting it size an allocation.
+func (c *cursor) count(size int) uint64 {
+	n := c.uvarint()
+	if c.err == nil && n > uint64(len(c.b)/size) {
+		c.fail()
+		return 0
+	}
+	return n
+}
+
 func (c *cursor) str() string {
 	n := c.uvarint()
 	if c.err != nil || uint64(len(c.b)) < n {
@@ -158,6 +170,10 @@ func appendRecord(dst []byte, rec wal.Record) ([]byte, error) {
 	return dst, nil
 }
 
+// minRecordLen is the smallest encoded record: op byte, seq, two
+// empty strings, value bits, and an empty patient length.
+const minRecordLen = 1 + 8 + 1 + 1 + 8 + 1
+
 func readRecord(c *cursor) (wal.Record, error) {
 	var rec wal.Record
 	op := c.byte()
@@ -211,6 +227,9 @@ func readCatchup(b []byte) ([]wal.Record, error) {
 	raw, err := Decompress(nil, c.rest())
 	if err != nil {
 		return nil, err
+	}
+	if n > uint64(len(raw)/minRecordLen) {
+		return nil, fmt.Errorf("transport: catch-up block claims %d records in %d bytes", n, len(raw))
 	}
 	rc := cursor{b: raw}
 	recs := make([]wal.Record, 0, n)
@@ -270,9 +289,8 @@ func readRelevancesReq(b []byte) (scorer string, approx bool, members []model.Us
 	c := cursor{b: b}
 	scorer = c.str()
 	approx = c.byte() != 0
-	n := c.uvarint()
-	if c.err != nil || n > uint64(len(b)) {
-		c.fail()
+	n := c.count(1) // a member is at least its length byte
+	if c.err != nil {
 		return "", false, nil, c.err
 	}
 	members = make([]model.UserID, 0, n)
@@ -306,7 +324,7 @@ func readRelevancesResp(b []byte, out []map[model.ItemID]float64) error {
 		return fmt.Errorf("transport: relevances reply for %d members, want %d", n, len(out))
 	}
 	for i := range out {
-		sz := c.uvarint()
+		sz := c.count(1 + 8) // an item is at least its length byte and score bits
 		if c.err != nil {
 			return c.err
 		}

@@ -121,6 +121,11 @@ func Decompress(dst, src []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	src = src[used:]
+	// Every source byte decodes to at most snapMaxCopy output bytes, so
+	// a larger claim is corrupt and must not size the output buffer.
+	if n > uint64(len(src))*snapMaxCopy {
+		return nil, ErrCorrupt
+	}
 	base := len(dst)
 	want := base + int(n)
 	if cap(dst) < want {

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -93,6 +94,21 @@ func TestSnapDecompressCorrupt(t *testing.T) {
 		if _, err := Decompress(nil, b); err == nil {
 			t.Errorf("%s: Decompress accepted corrupt input", name)
 		}
+	}
+}
+
+// TestSnapDecompressLengthBomb: a bare header claiming a whole frame is
+// corrupt, and is rejected before the claimed buffer is allocated.
+func TestSnapDecompressLengthBomb(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(nil, snapBomb)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decompress accepted a header-only block claiming a whole frame")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("Decompress allocated %d bytes for a %d-byte block", grown, len(snapBomb))
 	}
 }
 

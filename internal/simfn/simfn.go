@@ -555,15 +555,6 @@ func NewCachedWith(inner UserSimilarity, opts CacheOptions) *Cached {
 	}
 }
 
-// SetTTL retargets the memo table's lease; live entries are re-judged
-// against the new value on their next lookup or sweep. Expiry only
-// removes entries — a recomputation reads the same underlying data —
-// so adaptation never changes what a hit returns.
-func (c *Cached) SetTTL(d time.Duration) { c.table.SetTTL(d) }
-
-// TTL reports the current lease.
-func (c *Cached) TTL() time.Duration { return c.table.TTL() }
-
 // Close stops the memo table's background janitor (a no-op without a
 // TTL). The table remains usable afterwards.
 func (c *Cached) Close() { c.table.Close() }

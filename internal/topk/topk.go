@@ -49,7 +49,8 @@ type Selector struct {
 }
 
 // NewSelector returns a selector retaining the best k items. k ≤ 0
-// yields a selector that retains nothing.
+// yields a selector that retains nothing. It preallocates k slots, so
+// callers holding the input bound k by its length first.
 func NewSelector(k int) *Selector {
 	if k < 0 {
 		k = 0
@@ -113,14 +114,14 @@ func (s *Selector) Result() []model.ScoredItem {
 
 // Top returns the best k of items without mutating the input.
 func Top(items []model.ScoredItem, k int) []model.ScoredItem {
-	s := NewSelector(k)
+	s := NewSelector(min(k, len(items)))
 	s.PushAll(items)
 	return s.Result()
 }
 
 // TopOfMap ranks a map of item scores and returns the best k.
 func TopOfMap(scores map[model.ItemID]float64, k int) []model.ScoredItem {
-	s := NewSelector(k)
+	s := NewSelector(min(k, len(scores)))
 	for it, sc := range scores {
 		s.Push(model.ScoredItem{Item: it, Score: sc})
 	}
