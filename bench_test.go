@@ -22,7 +22,7 @@
 //	BenchmarkPartitionedServe/*        group serving through the consistent-hash fan-out
 //	                                   coordinator at 1/2/4 partitions, warm and cold-after-write
 //	BenchmarkFlatKernels/*             flat scoring kernels vs the retained map-based references:
-//	                                   CSR merge-join Pearson, matrix build, cold and warm
+//	                                   CSR merge-join Pearson, cold and warm
 //	                                   user-cf relevance, rank-order greedy, branch-and-bound
 //	                                   brute force
 //	                                   (gated on both ns/op and allocs/op)
@@ -156,31 +156,6 @@ func BenchmarkTableI(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p.Similarity(users[i%len(users)], users[(i+7)%len(users)])
-		}
-	})
-	// Full pairwise matrix build: the serial path vs the sharded
-	// worker-pool precompute (same measure, same workload — the
-	// acceptance comparison for the concurrency layer).
-	ds, err := dataset.Generate(dataset.Config{Seed: 3, Users: 200, Items: 300, RatingsPerUser: 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := simfn.Normalized{S: simfn.Pearson{Store: ds.Ratings, MinOverlap: 2}}
-	users := ds.Ratings.Users()
-	b.Run("matrix-build-serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := simfn.NewCached(base)
-			if _, err := c.WarmAll(context.Background(), users, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("matrix-build-parallel/workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := simfn.NewCached(base)
-			if _, err := c.WarmAll(context.Background(), users, 0); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }
@@ -351,11 +326,6 @@ func BenchmarkGroupBatch(b *testing.B) {
 	groups := make([][]string, 16)
 	for g := range groups {
 		groups[g] = []string{users[(3*g)%len(users)], users[(3*g+1)%len(users)], users[(3*g+2)%len(users)]}
-	}
-	// Warm the similarity cache once so both arms measure serving, not
-	// the first-touch matrix build.
-	if _, err := sys.PrecomputeSimilarity(context.Background()); err != nil {
-		b.Fatal(err)
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -1131,27 +1101,6 @@ func BenchmarkFlatKernels(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ref.Similarity(users[i%len(users)], users[(i+7)%len(users)])
-		}
-	})
-
-	// Full pairwise matrix build through the single-worker warm path
-	// (the snapshot is shared across all pairs of one build).
-	b.Run("matrix-build/flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := simfn.NewCached(simfn.Normalized{S: flat})
-			if _, err := c.WarmAll(context.Background(), users, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("matrix-build/reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := simfn.NewCached(simfn.Normalized{S: ref})
-			if _, err := c.WarmAll(context.Background(), users, 1); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 

@@ -28,6 +28,7 @@ import (
 	"fairhealth/internal/mrpipeline"
 	"fairhealth/internal/phr"
 	"fairhealth/internal/ratings"
+	"fairhealth/internal/scoring"
 	"fairhealth/internal/snomed"
 )
 
@@ -80,7 +81,7 @@ Usage:
   fairrec gen       -seed 1 -users 100 -items 200 -out data/           generate dataset
   fairrec recommend -ratings data/ratings.csv -user patient0001 -k 10  personal top-k
   fairrec group     -ratings data/ratings.csv -users a,b,c -z 10       fair group top-z
-                    [-scorer user-cf|item-cf|profile]                  pick the relevance backend
+                    [-scorer user-cf|item-cf|profile|semantic|hybrid]  pick the relevance backend
   fairrec batch     -ratings data/ratings.csv -groups "a,b;c,d" -z 10  many groups in parallel
                     [-stream] [-scorer s]                              print entries as they complete
   fairrec mr        -ratings data/ratings.csv -users a,b,c -z 10       MapReduce pipeline
@@ -225,7 +226,7 @@ func cmdGroup(args []string) error {
 	delta := fs.Float64("delta", 0.5, "peer threshold δ")
 	aggr := fs.String("aggr", "avg", "aggregation: avg (majority), min (veto), max, median or consensus")
 	method := fs.String("method", "greedy", "greedy | brute | topz (for the §IV MapReduce pipeline run 'fairrec mr')")
-	scorer := fs.String("scorer", "", "relevance scorer: user-cf (default) | item-cf | profile")
+	scorer := fs.String("scorer", "", "relevance scorer: "+strings.Join(scoring.Names(), " | ")+" (default user-cf)")
 	m := fs.Int("m", 20, "candidate pool for brute force")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -289,7 +290,7 @@ func cmdBatch(args []string) error {
 	delta := fs.Float64("delta", 0.5, "peer threshold δ")
 	aggr := fs.String("aggr", "avg", "aggregation: avg (majority), min (veto), max, median or consensus")
 	method := fs.String("method", "greedy", "solver for every group: greedy | brute (for the §IV MapReduce pipeline run 'fairrec mr')")
-	scorer := fs.String("scorer", "", "relevance scorer for every group: user-cf (default) | item-cf | profile")
+	scorer := fs.String("scorer", "", "relevance scorer for every group: "+strings.Join(scoring.Names(), " | ")+" (default user-cf)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	stream := fs.Bool("stream", false, "print each group as it completes (completion order) instead of buffering the batch")
 	if err := fs.Parse(args); err != nil {

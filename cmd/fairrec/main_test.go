@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fairhealth"
+	"fairhealth/internal/scoring"
 )
 
 // genTestData runs cmdGen into a temp dir and returns the ratings and
@@ -157,7 +158,7 @@ func TestCmdClustering(t *testing.T) {
 func TestCmdGroupScorers(t *testing.T) {
 	ratingsPath, profilesPath := genTestData(t)
 	users := "patient0000,patient0001,patient0002"
-	for _, scorer := range []string{"user-cf", "item-cf", "profile"} {
+	for _, scorer := range scoring.Names() {
 		if err := cmdGroup([]string{
 			"-ratings", ratingsPath, "-profiles", profilesPath,
 			"-users", users, "-z", "4", "-delta", "0.3", "-scorer", scorer,

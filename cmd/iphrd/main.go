@@ -16,7 +16,7 @@
 // the cache hit/miss/eviction/expiration counters, per-layer
 // entry-age histograms, TTLs, and the limiter's bound, in-flight
 // count and rejections. -scorer sets the default
-// relevance backend (user-cf | item-cf | profile) for queries that
+// relevance backend (any registered scorer) for queries that
 // name none. -candidate-index turns on the cluster peer-candidate
 // index (-candidate-k sizes it, 0 = √n): exact queries get a
 // bit-identical prefiltered peer scan, queries with "approx":true
@@ -56,6 +56,7 @@ import (
 	"fairhealth/internal/model"
 	"fairhealth/internal/partition"
 	"fairhealth/internal/partition/transport"
+	"fairhealth/internal/scoring"
 )
 
 // backend is what main needs from the serving engine: the HTTP surface
@@ -75,7 +76,7 @@ func main() {
 	delta := flag.Float64("delta", 0.5, "peer threshold δ")
 	k := flag.Int("k", 10, "personal list size (fairness)")
 	aggr := flag.String("aggr", "avg", "group aggregation: avg | min | max | median | consensus")
-	scorer := flag.String("scorer", "", "default relevance scorer for queries that name none: user-cf | item-cf | profile (empty = user-cf)")
+	scorer := flag.String("scorer", "", "default relevance scorer for queries that name none: "+strings.Join(scoring.Names(), " | ")+" (empty = user-cf)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of warm similarity rows and peer sets across requests (0 = never expire)")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "LRU bound per cache layer (0 = unbounded)")
 	cacheMaxCost := flag.Int64("cache-max-cost", 0, "size-aware cost budget per cache layer (0 = unbounded)")

@@ -118,16 +118,16 @@ func main() {
 	fmt.Println("matching the paper's §V.C conclusion.")
 
 	// ---- the measures at work: one GroupQuery over a hybrid system --------
-	// The same profiles and ratings feed a System configured with the
-	// hybrid measure, and the unified API serves a fair group
+	// The same profiles and ratings feed a System whose default scorer
+	// is the hybrid measure, and the unified API serves a fair group
 	// recommendation for a caregiver responsible for patients 1 and 2
 	// (patient 3 acts as the outside peer whose ratings drive Eq. 1).
 	// δ is far below the paper's operating point because the toy
 	// corpus has three patients: hybrid scores against the one
 	// genuinely dissimilar patient sit under 0.1 (see the table).
 	sys, err := fairhealth.New(fairhealth.Config{
-		Similarity: fairhealth.SimilarityHybrid,
-		Delta:      0.05, MinOverlap: 2, K: 2,
+		Scorer: "hybrid",
+		Delta:  0.05, MinOverlap: 2, K: 2,
 	})
 	if err != nil {
 		log.Fatal(err)

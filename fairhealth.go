@@ -13,10 +13,11 @@
 // is fair to a patient when it contains at least one item from their
 // personal top-k (Def. 3).
 //
-// Three user-similarity measures are available (§V): Pearson
-// correlation over shared ratings, cosine over TF-IDF profile vectors,
-// semantic distance of coded health problems over a SNOMED-CT-style
-// ontology, or a weighted hybrid of all three.
+// The paper's four user-similarity measures (§V) are each a scorer:
+// Pearson correlation over shared ratings ("user-cf"), cosine over
+// TF-IDF profile vectors ("profile"), semantic distance of coded
+// health problems over a SNOMED-CT-style ontology ("semantic"), and
+// an equally weighted hybrid of all three ("hybrid").
 //
 // Every group recommendation is one typed request — a GroupQuery —
 // answered by the single execution path System.Serve:
@@ -40,18 +41,17 @@
 // (internal/scoring). GroupQuery.Scorer picks it per query — "user-cf"
 // (the paper's §III.A model, the default), "item-cf" (item-based CF
 // whose neighbor model scales with items instead of users, built
-// lazily and rebuilt after writes), or "profile" (peers by
-// profile-cosine, for cold raters with rich profiles) — and
+// lazily and patched after writes), or user-user CF with peers by
+// another §V measure ("profile", "semantic", "hybrid") — and
 // Config.Scorer changes the default. Per-member scoring fans out
 // across the group in parallel, and assembled group-relevance inputs
 // are memoized per (scorer, members, aggregation, K) with the same
 // write-fencing discipline as the caches below them.
 //
 // Batch serving: many caregiver queries can be answered in one call,
-// each with its own method and parameters. The similarity rows of
-// every member are precomputed by a sharded worker pool, then the
-// queries fan out across bounded workers — each entry carries its own
-// result or error, and a cancelled context stops mid-batch:
+// each with its own method and parameters. The queries fan out across
+// bounded workers — each entry carries its own result or error, and a
+// cancelled context stops mid-batch:
 //
 //	queries := []fairhealth.GroupQuery{
 //		{Members: []string{"alice", "bob"}, Z: 10},
@@ -76,9 +76,9 @@
 //
 // Invalidation is scoped, so caches stay warm under mixed read/write
 // traffic: a rating write to user u evicts only u's own peer set (and
-// u's row of a similarity memo, where the configured similarity keeps
-// one; the ratings store reports the touched user, and every cache
-// layer evicts by user instead of flushing); every other peer set is
+// u's row of the hybrid scorer's similarity memo; the ratings store
+// reports the touched user, and every cache layer evicts by user
+// instead of flushing); every other peer set is
 // patched for u on its next read, and the item-cf model for the item
 // pairs u's ratings span. Profile writes rebuild profile-derived
 // state, so they still flush everything, as does the explicit
@@ -86,22 +86,17 @@
 // once writes quiesce, served scores are bit-identical to a freshly
 // built system's.
 //
-// Under the default ratings similarity, peer discovery computes a
-// member's whole Pearson row in one item-major pass over the ratings
-// snapshot's column index, so there is no similarity memo at all. The
-// other Config.Similarity kinds (semantic, profile, hybrid) have no row
-// form and memoize pairs. The memoization layers (that similarity memo
-// and the peer-set cache) ride the shared internal/cache engine:
-// Config.CacheTTL ages long-idle entries out across requests and
-// Config.CacheMaxEntries LRU-bounds each layer; System.CacheStats (and
-// GET /v1/stats) report hits, misses, evictions, expirations, and live
-// entry counts. With a TTL configured, call Close when discarding the
-// System so the background janitors stop.
-//
-// For read-heavy deployments under a memoized similarity,
-// PrecomputeSimilarity materializes the full pairwise similarity matrix
-// in parallel ahead of traffic; Config.Workers bounds both pools
-// (default GOMAXPROCS).
+// Under user-cf, peer discovery computes a member's whole Pearson row
+// in one item-major pass over the ratings snapshot's column index, so
+// the System keeps no similarity memo at all. The profile, semantic
+// and hybrid scorers have no row form; each memoizes its own pairs.
+// The memoization layers (those similarity memos and the peer-set
+// caches) ride the shared internal/cache engine: Config.CacheTTL ages
+// long-idle entries out across requests and Config.CacheMaxEntries
+// LRU-bounds each layer; System.CacheStats (and GET /v1/stats) report
+// hits, misses, evictions, expirations, and live entry counts. With a
+// TTL configured, call Close when discarding the System so the
+// background janitors stop.
 package fairhealth
 
 import (
@@ -148,31 +143,8 @@ var (
 	ErrTooManyCombinations = core.ErrTooManyCombinations
 )
 
-// SimilarityKind selects the §V measure used for peer discovery.
-type SimilarityKind string
-
-// Available similarity kinds.
-const (
-	// SimilarityRatings is Pearson correlation over co-rated items
-	// (Eq. 2), normalized to [0,1].
-	SimilarityRatings SimilarityKind = "ratings"
-	// SimilarityProfile is cosine similarity over TF-IDF vectors of
-	// rendered patient profiles (Def. 4 + Eq. 3).
-	SimilarityProfile SimilarityKind = "profile"
-	// SimilaritySemantic is ontology path similarity of coded health
-	// problems aggregated by harmonic mean (Eq. 4).
-	SimilaritySemantic SimilarityKind = "semantic"
-	// SimilarityHybrid blends all three with Config.HybridWeights.
-	SimilarityHybrid SimilarityKind = "hybrid"
-)
-
-// HybridWeights weights the components of SimilarityHybrid.
-type HybridWeights struct {
-	Ratings, Profile, Semantic float64
-}
-
 // Config tunes a System. The zero value is usable: δ=0.5, MinOverlap=2,
-// K=10, ratings similarity, average aggregation.
+// K=10, the user-cf scorer, average aggregation.
 type Config struct {
 	// Delta is the peer threshold δ of Def. 1, applied to similarities
 	// normalized into [0,1].
@@ -181,11 +153,6 @@ type Config struct {
 	MinOverlap int
 	// K sizes each member's personal top-k list A_u (fairness Def. 3).
 	K int
-	// Similarity selects the §V measure (default SimilarityRatings).
-	Similarity SimilarityKind
-	// HybridWeights applies when Similarity == SimilarityHybrid
-	// (default 1/1/1).
-	HybridWeights HybridWeights
 	// Aggregation selects the Def. 2 semantics: "avg" (majority,
 	// default), "min" (veto), or the extensions "max", "median" and
 	// "consensus" (Amer-Yahia et al. [1], relevance + agreement).
@@ -193,27 +160,27 @@ type Config struct {
 	// Scorer selects the default relevance backend for queries that
 	// leave GroupQuery.Scorer empty: "user-cf" (the paper's §III.A
 	// model, the default), "item-cf" (item-based CF over
-	// internal/itemcf), "profile" (peers by profile-cosine), or any
-	// in-tree scorer registered with internal/scoring (the registry is
-	// an internal extension point — registration happens inside this
-	// module).
+	// internal/itemcf), "profile", "semantic" or "hybrid" (peers by
+	// profile cosine, ontology similarity, or their blend with
+	// Pearson), or any in-tree scorer registered with internal/scoring
+	// (the registry is an internal extension point — registration
+	// happens inside this module).
 	Scorer string
-	// Workers bounds the worker pools of the parallel similarity
-	// precompute (PrecomputeSimilarity, a no-op under ratings) and the
-	// batch group API (ServeBatch). 0 means runtime.GOMAXPROCS at call
-	// time.
+	// Workers bounds the worker pool of the batch group API
+	// (ServeBatch) and of one query's per-member gather. 0 means
+	// runtime.GOMAXPROCS at call time.
 	Workers int
-	// CacheTTL bounds how long memoized similarity pairs (kept only by
-	// the non-ratings similarity kinds) and peer sets stay live across
-	// requests: entries older than the TTL answer as misses and are
+	// CacheTTL bounds how long memoized similarity pairs (kept by the
+	// profile, semantic and hybrid scorers) and peer sets stay live
+	// across requests: entries older than the TTL answer as misses and are
 	// reaped (lazily on lookup plus a background janitor), so long-idle
 	// entries age out instead of living forever.
 	// 0 keeps the historical behavior (entries live until evicted by a
 	// write); negative is ErrBadConfig. With a TTL set, call Close when
 	// discarding the System so the janitor goroutines stop.
 	CacheTTL time.Duration
-	// CacheMaxEntries caps each cache layer (the similarity memo table
-	// and the peer-set cache, independently); inserts beyond the cap
+	// CacheMaxEntries caps each cache layer (each similarity memo table
+	// and each peer-set cache, independently); inserts beyond the cap
 	// evict least-recently-used entries. 0 means unbounded; negative is
 	// ErrBadConfig.
 	CacheMaxEntries int
@@ -255,17 +222,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.K <= 0 {
 		c.K = 10
-	}
-	if c.Similarity == "" {
-		c.Similarity = SimilarityRatings
-	}
-	switch c.Similarity {
-	case SimilarityRatings, SimilarityProfile, SimilaritySemantic, SimilarityHybrid:
-	default:
-		return c, fmt.Errorf("%w: similarity %q", ErrBadConfig, c.Similarity)
-	}
-	if c.HybridWeights == (HybridWeights{}) {
-		c.HybridWeights = HybridWeights{Ratings: 1, Profile: 1, Semantic: 1}
 	}
 	if c.Aggregation == "" {
 		c.Aggregation = "avg"
@@ -370,18 +326,6 @@ type System struct {
 	walLog   *wal.Log // nil for in-memory systems
 	walPath  string
 
-	mu       sync.Mutex // guards the caches below
-	simCache *simfn.Cached
-	simDirty bool
-	pcDirty  bool
-	pc       *simfn.ProfileCosine
-	pcBuilt  bool
-
-	// simBase accumulates the counters of similarity caches discarded
-	// by full invalidations, so CacheStats reports lifetime totals
-	// rather than resetting on every profile write.
-	simBase CacheCounters
-
 	// peerCache memoizes P_u across requests. A rating write evicts the
 	// writer's own set and has every other set re-check the writer on
 	// its next read (invalidateUsers); profile writes flush it
@@ -453,8 +397,6 @@ func NewWithOntology(cfg Config, ont *ontology.Ontology) (*System, error) {
 		profiles: phr.NewStore(ont),
 		ont:      ont,
 		index:    search.NewIndex(nil),
-		simDirty: true,
-		pcDirty:  true,
 		peerCache: cf.NewPeerCacheWith(cf.PeerCacheOptions{
 			TTL:        c.CacheTTL,
 			MaxEntries: c.CacheMaxEntries,
@@ -575,11 +517,6 @@ func (s *System) Close() error {
 	if s.candIdx != nil {
 		s.candIdx.Close()
 	}
-	s.mu.Lock()
-	if s.simCache != nil {
-		s.simCache.Close()
-	}
-	s.mu.Unlock()
 	s.peerCache.Close()
 	s.pipe.Close()
 	s.provMu.Lock()
@@ -812,11 +749,13 @@ func ageHistogram(counts []int) CacheAgeHistogram {
 // atomic, race-safe sources; Stats and CacheStats are cheap enough to
 // poll.
 type CacheStats struct {
-	// Similarity is the pairwise similarity memo table. It reads zero
-	// under the ratings similarity, which computes rows and keeps no
-	// memo.
+	// Similarity sums the pairwise similarity memo tables of the
+	// profile, semantic and hybrid scorers built so far. It reads zero
+	// under user-cf-only traffic: user-cf computes Pearson rows and
+	// keeps no memo.
 	Similarity CacheCounters `json:"similarity"`
-	// Peers is the per-user peer-set (P_u) cache.
+	// Peers sums the per-user peer-set (P_u) caches: user-cf's and
+	// each built memoized scorer's.
 	Peers CacheCounters `json:"peers"`
 	// Groups is the assembled group-relevance input memo, keyed by
 	// (scorer, members, aggregation, K).
@@ -825,42 +764,43 @@ type CacheStats struct {
 
 // CacheStats returns the current cache effectiveness counters.
 func (s *System) CacheStats() CacheStats {
-	// Snapshot the memo pointer under s.mu but walk it after release:
-	// the age scan is O(entries) over a pairwise table, and holding the
-	// System mutex across it would let a stats scrape stall writes and
-	// serves. The cache itself is safe for concurrent use (a racing
-	// full invalidation at worst hands us the outgoing table, whose
-	// counters the base already absorbed at swap time).
-	s.mu.Lock()
-	sim := s.simBase
-	simCache := s.simCache
-	s.mu.Unlock()
-	sim.Ages = ageHistogram(nil)
-	sim.TTLSeconds = s.cfg.CacheTTL.Seconds()
-	if simCache != nil {
-		st := simCache.Stats()
-		sim.Hits += st.Hits
-		sim.Misses += st.Misses
-		sim.Evictions += st.Evictions
-		sim.Expirations += st.Expirations
-		sim.Entries = st.Entries
-		sim.Cost = st.Cost
-		sim.Ages = ageHistogram(simCache.AgeHistogram(ageBounds))
+	// Collect the memoized scorers under provMu but walk them after
+	// release: the age scans are O(entries) over pairwise tables, and
+	// holding the registry lock across them would let a stats scrape
+	// stall writes and serves.
+	s.provMu.Lock()
+	var memos []scoring.Memo
+	for _, p := range s.providers {
+		if m, ok := p.(scoring.Memo); ok {
+			memos = append(memos, m)
+		}
 	}
-	ps := s.peerCache.Stats()
-	return CacheStats{
-		Similarity: sim,
-		Peers: CacheCounters{
-			Hits:        ps.Hits,
-			Misses:      ps.Misses,
-			Evictions:   ps.Evictions,
-			Expirations: ps.Expirations,
-			Entries:     ps.Entries,
-			Cost:        ps.Cost,
-			TTLSeconds:  s.cfg.CacheTTL.Seconds(),
-			Ages:        ageHistogram(s.peerCache.AgeHistogram(ageBounds)),
-		},
-		Groups: s.pipe.MemoStats(),
+	s.provMu.Unlock()
+	sim, peers := s.emptyCounters(), s.emptyCounters()
+	peers.add(scoring.LayerStats{Stats: cache.Stats(s.peerCache.Stats()), Ages: s.peerCache.AgeHistogram(ageBounds)})
+	for _, m := range memos {
+		ms, mp := m.MemoStats(ageBounds)
+		sim.add(ms)
+		peers.add(mp)
+	}
+	return CacheStats{Similarity: sim, Peers: peers, Groups: s.pipe.MemoStats()}
+}
+
+// emptyCounters is a layer with no traffic under the configured lease.
+func (s *System) emptyCounters() CacheCounters {
+	return CacheCounters{TTLSeconds: s.cfg.CacheTTL.Seconds(), Ages: ageHistogram(nil)}
+}
+
+// add sums one memo layer into c, bucket by bucket for the ages.
+func (c *CacheCounters) add(l scoring.LayerStats) {
+	c.Hits += l.Hits
+	c.Misses += l.Misses
+	c.Evictions += l.Evictions
+	c.Expirations += l.Expirations
+	c.Entries += l.Entries
+	c.Cost += l.Cost
+	for i, n := range l.Ages {
+		c.Ages.Counts[i] += n
 	}
 }
 
@@ -1003,31 +943,21 @@ func fromProfile(prof *phr.Profile) Patient {
 // similarity wiring
 
 // invalidateUsers routes a rating write down the cache layers with
-// user scope: the touched users' rows of the similarity memo, when the
-// configured similarity keeps one, are evicted first, then their own
-// peer sets (recording them as touched, so every other set patches
-// itself for them on its next read). The order matters — a peer-cache
-// fence captured after EvictUsers can only observe post-eviction
-// similarity rows, so a peer set stored under that fence is built from
-// post-write data (simfn.Cached's own eviction sequencing fences off
-// lookups that were already in flight). Everything not reachable from
-// the touched users stays warm: Pearson(v,w) is a function of v's and
-// w's ratings only, so no other pair can have changed. Under the
-// default ratings similarity there is no memo: a row is computed from
-// the ratings snapshot, which the store itself re-dirties on a write.
+// user scope: user-cf's peer cache drops the touched users' own sets
+// and records them as touched, so every other set patches itself for
+// them on its next read. Everything not reachable from the touched
+// users stays warm: Pearson(v,w) is a function of v's and w's ratings
+// only, so no other pair can have changed. There is no Pearson memo: a
+// row is computed from the ratings snapshot, which the store itself
+// re-dirties on a write.
 //
-// Below the shared layers, the write fans out to every built scoring
-// provider (item-cf records the users for its next patch; profile
-// touches them in its own peer cache; user-cf needs nothing) and, LAST,
-// evicts the group-input memo — its scope eviction bumps the memo's
-// fence sequence, so an assembly that read any pre-write state upstream
-// is refused at store time.
+// The write then fans out to every built scoring provider (item-cf
+// records the users for its next patch; the memoized scorers evict
+// hybrid's memo rows, then touch the users in their own peer caches;
+// user-cf needs nothing) and, LAST, evicts the group-input memo — its
+// scope eviction bumps the memo's fence sequence, so an assembly that
+// read any pre-write state upstream is refused at store time.
 func (s *System) invalidateUsers(users ...model.UserID) {
-	s.mu.Lock()
-	if s.simCache != nil {
-		s.simCache.EvictRows(users)
-	}
-	s.mu.Unlock()
 	s.peerCache.EvictUsers(users)
 	s.provMu.Lock()
 	for _, p := range s.providers {
@@ -1049,10 +979,6 @@ func (s *System) invalidateUsers(users ...model.UserID) {
 // blast radius is the whole matrix) and for the explicit
 // InvalidateCaches.
 func (s *System) invalidateAll() {
-	s.mu.Lock()
-	s.simDirty = true
-	s.pcDirty = true
-	s.mu.Unlock()
 	s.peerCache.Invalidate()
 	s.provMu.Lock()
 	for _, p := range s.providers {
@@ -1067,131 +993,42 @@ func (s *System) invalidateAll() {
 	}
 }
 
-// InvalidateCaches drops all memoized state (similarity matrix,
-// profile corpus, peer sets), forcing the next query to rebuild from
+// InvalidateCaches drops all memoized state (similarity memos, profile
+// corpora, peer sets, group inputs), forcing the next query to rebuild from
 // the stores. Normal writes invalidate with user scope automatically;
 // this is the big hammer for tests, benchmarks of cold-path cost, or
 // out-of-band store surgery.
 func (s *System) InvalidateCaches() { s.invalidateAll() }
-
-func (s *System) profileCosine() (*simfn.ProfileCosine, error) {
-	// caller holds s.mu
-	if s.pcBuilt && !s.pcDirty {
-		return s.pc, nil
-	}
-	pc, err := simfn.BuildProfileCosine(s.profiles, s.ont, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.pc, s.pcBuilt, s.pcDirty = pc, true, false
-	return pc, nil
-}
 
 // pearson is user-cf's ratings similarity: Eq. 2 mapped into [0,1].
 func (s *System) pearson() simfn.Normalized {
 	return simfn.Normalized{S: simfn.Pearson{Store: s.ratings, MinOverlap: s.cfg.MinOverlap}}
 }
 
-// similarity assembles the configured measure. Under ratings it is the
-// bare Pearson measure: peer discovery computes whole rows of it in one
-// pass, cheaper than looking pairs up, so there is no memo to fill or
-// evict. The other kinds are wrapped in a pair memo that lives until a
-// profile write or InvalidateCaches marks it dirty.
-func (s *System) similarity() (simfn.UserSimilarity, error) {
-	if s.cfg.Similarity == SimilarityRatings {
-		return s.pearson(), nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.simCache != nil && !s.simDirty {
-		return s.simCache, nil
-	}
-	if s.simCache != nil {
-		// The old memo table is being discarded; keep its counters and
-		// stop its janitor (in-flight queries still holding it are fine
-		// — Close only ends the background sweep). Its live entries are
-		// dropped by this full invalidation, so they count as evictions
-		// — matching the peer cache, whose Invalidate counts the flush.
-		st := s.simCache.Stats()
-		s.simBase.Hits += st.Hits
-		s.simBase.Misses += st.Misses
-		s.simBase.Evictions += st.Evictions + uint64(st.Entries)
-		s.simBase.Expirations += st.Expirations
-		s.simCache.Close()
-	}
-	base, err := s.buildSimilarityLocked()
-	if err != nil {
-		return nil, err
-	}
-	s.simCache = simfn.NewCachedWith(base, simfn.CacheOptions{
-		TTL:        s.cfg.CacheTTL,
-		MaxEntries: s.cfg.CacheMaxEntries,
-		MaxCost:    s.cfg.CacheMaxCost,
-	})
-	s.simDirty = false
-	return s.simCache, nil
-}
-
-func (s *System) buildSimilarityLocked() (simfn.UserSimilarity, error) {
-	semantic := simfn.Semantic{Ont: s.ont, Problems: s.profiles.Problems}
-	switch s.cfg.Similarity {
-	case SimilaritySemantic:
-		return semantic, nil
-	case SimilarityProfile:
-		pc, err := s.profileCosine()
-		if err != nil {
-			return nil, err
-		}
-		return pc, nil
-	case SimilarityHybrid:
-		pc, err := s.profileCosine()
-		if err != nil {
-			return nil, err
-		}
-		return simfn.Weighted{Components: []simfn.Component{
-			{S: s.pearson(), Weight: s.cfg.HybridWeights.Ratings},
-			{S: pc, Weight: s.cfg.HybridWeights.Profile},
-			{S: semantic, Weight: s.cfg.HybridWeights.Semantic},
-		}}, nil
-	default:
-		return nil, fmt.Errorf("%w: similarity %q", ErrBadConfig, s.cfg.Similarity)
-	}
-}
-
 func (s *System) recommender() (*cf.Recommender, error) {
-	// Capture the peer-cache fence BEFORE acquiring the similarity
-	// snapshot. A full flush between the two steps bumps the
-	// generation and drops any peer set computed from the older
-	// snapshot (invalidateAll marks the similarity dirty before
-	// bumping the generation, so a post-bump snapshot is always
-	// fresh). A scoped eviction bumps the sequence instead: peer sets
-	// stored under the older sequence are patched on their next read
-	// for exactly the users evicted since (invalidateUsers evicts
-	// similarity rows before peer sets, so the patch always reads
-	// post-write similarities).
+	// The peer-cache fence: a full flush bumps the generation and
+	// drops any peer set computed before it; a scoped eviction bumps
+	// the sequence instead, and peer sets stored under the older
+	// sequence are patched on their next read for exactly the users
+	// evicted since.
 	gen, seq := s.peerCache.Fence()
-	sim, err := s.similarity()
-	if err != nil {
-		return nil, err
-	}
 	rec := &cf.Recommender{
 		Store:           s.ratings,
-		Sim:             sim,
+		Sim:             s.pearson(),
 		Delta:           s.cfg.Delta,
 		RequirePositive: true,
 		Cache:           s.peerCache,
 		CacheGen:        gen,
 		CacheSeq:        seq,
 	}
-	if s.candIdx != nil && s.cfg.Similarity == SimilarityRatings {
+	if s.candIdx != nil {
 		// Exact-mode prefilter: restrict the peer scan to users who
 		// share ≥ MinOverlap co-rated items with the query user — the
 		// only users the Pearson measure can ever report a defined
 		// similarity for, so the restricted scan is bit-identical to
 		// the full one (pinned by the equivalence tests). The set is
 		// computed from the live item postings on every scan; cluster
-		// staleness cannot leak into exact answers. Other similarity
-		// kinds have no sound prefilter and keep the full scan.
+		// staleness cannot leak into exact answers.
 		minOverlap := s.cfg.MinOverlap
 		rec.Candidates = func(u model.UserID) []model.UserID {
 			return s.candIdx.ExactPrefilter(u, minOverlap)
@@ -1204,17 +1041,12 @@ func (s *System) recommender() (*cf.Recommender, error) {
 // over the query user's cluster neighborhood in the candidate index
 // instead of the exact candidate universe. No peer cache — an approx
 // peer set must never be served to a later exact query — and hence no
-// fence; the similarity snapshot alone decides the scores. Only
-// reachable when Config.CandidateIndex is set (query normalization
-// rejects Approx otherwise).
+// fence. Only reachable when Config.CandidateIndex is set (query
+// normalization rejects Approx otherwise).
 func (s *System) recommenderApprox() (*cf.Recommender, error) {
-	sim, err := s.similarity()
-	if err != nil {
-		return nil, err
-	}
 	return &cf.Recommender{
 		Store:           s.ratings,
-		Sim:             sim,
+		Sim:             s.pearson(),
 		Delta:           s.cfg.Delta,
 		RequirePositive: true,
 		Candidates:      s.candIdx.Approx,
@@ -1229,24 +1061,11 @@ func (s *System) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PrecomputeSimilarity materializes the full pairwise similarity matrix
-// of a memoized measure (every Config.Similarity kind but ratings) for
-// every rated user with a sharded worker pool — the parallel
-// replacement for letting the first queries populate the memo pair by
-// pair. It returns the number of pairs computed. Under ratings there is
-// no memo, so it computes nothing and returns 0. Safe to call
-// concurrently with queries; a cancelled context keeps the (valid)
-// partial memo and returns ctx.Err().
+// PrecomputeSimilarity is kept for the benchmark walk, which times it.
+// user-cf computes Pearson rows on demand and keeps no pair memo, so
+// there is nothing to precompute: it returns (0, ctx.Err()).
 func (s *System) PrecomputeSimilarity(ctx context.Context) (pairs int, err error) {
-	m, err := s.similarity()
-	if err != nil {
-		return 0, err
-	}
-	c, ok := m.(*simfn.Cached)
-	if !ok {
-		return 0, nil
-	}
-	return c.WarmAll(ctx, s.ratings.Users(), s.workers())
+	return 0, ctx.Err()
 }
 
 func (s *System) aggregator() group.Aggregator {
@@ -1260,14 +1079,10 @@ func (s *System) aggregator() group.Aggregator {
 // ---------------------------------------------------------------------------
 // queries
 
-// SimilarityBetween evaluates the configured measure for two users;
-// ok=false means undefined.
+// SimilarityBetween evaluates user-cf's normalized Pearson for two
+// users; ok=false means undefined.
 func (s *System) SimilarityBetween(a, b string) (sim float64, ok bool, err error) {
-	m, err := s.similarity()
-	if err != nil {
-		return 0, false, err
-	}
-	sim, ok = m.Similarity(model.UserID(a), model.UserID(b))
+	sim, ok = s.pearson().Similarity(model.UserID(a), model.UserID(b))
 	return sim, ok, nil
 }
 

@@ -15,21 +15,20 @@ import (
 // for several overlapping groups.
 func batchSystem(t *testing.T, workers int) (*System, [][]string) {
 	t.Helper()
-	return batchSystemWith(t, workers, SimilarityRatings)
+	return batchSystemWith(t, workers, "")
 }
 
-// hybridBatchSystem is batchSystem under the hybrid similarity, whose
-// pair memo (Pearson included) still fills on serves — the layer the
-// similarity-memo tests observe. The default ratings similarity keeps
-// no memo.
+// hybridBatchSystem is batchSystem with the hybrid scorer as the
+// default, whose pair memo (Pearson included) fills on serves — the
+// layer the similarity-memo tests observe. user-cf keeps no memo.
 func hybridBatchSystem(t *testing.T, workers int) (*System, [][]string) {
 	t.Helper()
-	return batchSystemWith(t, workers, SimilarityHybrid)
+	return batchSystemWith(t, workers, "hybrid")
 }
 
-func batchSystemWith(t *testing.T, workers int, kind SimilarityKind) (*System, [][]string) {
+func batchSystemWith(t *testing.T, workers int, scorer string) (*System, [][]string) {
 	t.Helper()
-	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Workers: workers, Similarity: kind})
+	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Workers: workers, Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,59 +180,6 @@ func TestGroupRecommendBatchConcurrentWrites(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-func TestPrecomputeSimilarityWarmsAllPairs(t *testing.T) {
-	sys, _ := hybridBatchSystem(t, 0)
-	n := len(sys.SortedUsers())
-	pairs, err := sys.PrecomputeSimilarity(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := n * (n - 1) / 2; pairs != want {
-		t.Fatalf("precomputed %d pairs, want %d", pairs, want)
-	}
-	// A second call finds everything cached.
-	pairs, err = sys.PrecomputeSimilarity(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pairs != 0 {
-		t.Fatalf("re-precompute recomputed %d pairs, want 0", pairs)
-	}
-	// A rating write invalidates with user scope: only the touched
-	// user's row recomputes, the rest of the matrix stays warm.
-	if err := sys.AddRating("fresh", "doc0001", 5); err != nil {
-		t.Fatal(err)
-	}
-	pairs, err = sys.PrecomputeSimilarity(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pairs != n { // fresh × the n existing users
-		t.Fatalf("post-write precompute %d pairs, want %d (only the touched row)", pairs, n)
-	}
-	n++
-	// A profile write has global blast radius; the next precompute
-	// rebuilds the full matrix. InvalidateCaches behaves the same.
-	if err := sys.AddPatient(Patient{ID: "fresh"}); err != nil {
-		t.Fatal(err)
-	}
-	pairs, err = sys.PrecomputeSimilarity(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := n * (n - 1) / 2; pairs != want {
-		t.Fatalf("post-profile-write precompute %d pairs, want %d", pairs, want)
-	}
-	sys.InvalidateCaches()
-	pairs, err = sys.PrecomputeSimilarity(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := n * (n - 1) / 2; pairs != want {
-		t.Fatalf("post-InvalidateCaches precompute %d pairs, want %d", pairs, want)
-	}
 }
 
 func TestGroupRecommendBatchEmpty(t *testing.T) {

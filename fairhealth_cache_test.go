@@ -40,15 +40,15 @@ func TestCacheConfigValidation(t *testing.T) {
 // knobs and registers cleanup for the janitors.
 func cacheSystem(t *testing.T, ttl time.Duration, maxEntries int) (*System, [][]string) {
 	t.Helper()
-	return cacheSystemWith(t, SimilarityRatings, ttl, maxEntries)
+	return cacheSystemWith(t, "", ttl, maxEntries)
 }
 
-// cacheSystemWith is cacheSystem under the given similarity kind. The
-// tests that observe the similarity memo run under SimilarityHybrid:
-// under the default ratings similarity there is no memo.
-func cacheSystemWith(t *testing.T, kind SimilarityKind, ttl time.Duration, maxEntries int) (*System, [][]string) {
+// cacheSystemWith is cacheSystem with the given default scorer. The
+// tests that observe the similarity memo run under the hybrid scorer:
+// user-cf keeps no memo.
+func cacheSystemWith(t *testing.T, scorer string, ttl time.Duration, maxEntries int) (*System, [][]string) {
 	t.Helper()
-	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Similarity: kind, CacheTTL: ttl, CacheMaxEntries: maxEntries})
+	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Scorer: scorer, CacheTTL: ttl, CacheMaxEntries: maxEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,8 @@ func cacheSystemWith(t *testing.T, kind SimilarityKind, ttl time.Duration, maxEn
 // expiration counters move.
 func TestCacheTTLExpiryEquivalence(t *testing.T) {
 	const ttl = 40 * time.Millisecond
-	sys, groups := cacheSystemWith(t, SimilarityHybrid, ttl, 0)
+	sys, groups := cacheSystemWith(t, "hybrid", ttl, 0)
 	groups = groups[:3]
-	if _, err := sys.PrecomputeSimilarity(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	first, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6))
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +109,7 @@ func TestCacheTTLExpiryEquivalence(t *testing.T) {
 // are counted, and capacity eviction never changes answers.
 func TestCacheMaxEntriesBound(t *testing.T) {
 	const maxEntries = 64
-	sys, groups := cacheSystemWith(t, SimilarityHybrid, 0, maxEntries)
+	sys, groups := cacheSystemWith(t, "hybrid", 0, maxEntries)
 	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +135,6 @@ func TestCacheMaxEntriesBound(t *testing.T) {
 func TestUserDeletionEvictsCaches(t *testing.T) {
 	sys, groups := hybridBatchSystem(t, 1)
 	groups = groups[:3]
-	if _, err := sys.PrecomputeSimilarity(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := sys.ServeBatch(context.Background(), greedyQueries(groups, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +290,7 @@ func TestAdaptiveCacheConfigValidation(t *testing.T) {
 // property — size-aware eviction never changes answers.
 func TestCacheMaxCostBound(t *testing.T) {
 	const maxCost = 96
-	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Similarity: SimilarityHybrid, CacheMaxCost: maxCost})
+	sys, err := New(Config{Delta: 0.55, MinOverlap: 4, K: 8, Scorer: "hybrid", CacheMaxCost: maxCost})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,17 +10,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
+	"fairhealth/internal/cf"
 	"fairhealth/internal/core"
 	"fairhealth/internal/dataset"
 	"fairhealth/internal/group"
 	"fairhealth/internal/model"
 	"fairhealth/internal/scoring"
+	"fairhealth/internal/simfn"
 )
 
 // scorerSystem builds a System with ratings AND profiles (the profile
@@ -194,7 +197,7 @@ func TestScorerServeEndToEnd(t *testing.T) {
 // same final data, bit for bit — the scoped-invalidation acceptance
 // bar extended to the scoring layer.
 func TestScorerWarmColdBitIdentical(t *testing.T) {
-	for _, scorer := range []string{"user-cf", "item-cf", "profile"} {
+	for _, scorer := range scoring.Names() {
 		t.Run(scorer, func(t *testing.T) {
 			sys, groups := scorerSystem(t)
 			q := GroupQuery{Members: groups[2], Z: 5, Scorer: scorer, Explain: true}
@@ -230,6 +233,175 @@ func TestScorerWarmColdBitIdentical(t *testing.T) {
 				t.Fatal("post-write warm answer diverged from a cold rebuild")
 			}
 		})
+	}
+}
+
+// TestMemoScorersMatchDirectRecommender: the profile, semantic and
+// hybrid scorers memoize their measure's pairs and peer sets, and the
+// memo may not move a bit. Each scorer's relevances must equal those of
+// a direct, unmemoized cf.Recommender over the same measure — cold,
+// warm, after rating writes (a newcomer's first rating included) and
+// after a profile write.
+func TestMemoScorersMatchDirectRecommender(t *testing.T) {
+	profileCosine := func(t *testing.T, s *System) *simfn.ProfileCosine {
+		t.Helper()
+		pc, err := simfn.BuildProfileCosine(s.profiles, s.ont, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pc
+	}
+	semantic := func(s *System) simfn.Semantic {
+		return simfn.Semantic{Ont: s.ont, Problems: s.profiles.Problems}
+	}
+	measures := map[string]func(*testing.T, *System) simfn.UserSimilarity{
+		"profile":  func(t *testing.T, s *System) simfn.UserSimilarity { return profileCosine(t, s) },
+		"semantic": func(_ *testing.T, s *System) simfn.UserSimilarity { return semantic(s) },
+		"hybrid": func(t *testing.T, s *System) simfn.UserSimilarity {
+			return simfn.Weighted{Components: []simfn.Component{
+				{S: s.pearson(), Weight: 1},
+				{S: profileCosine(t, s), Weight: 1},
+				{S: semantic(s), Weight: 1},
+			}}
+		},
+	}
+	for _, scorer := range []string{"profile", "semantic", "hybrid"} {
+		t.Run(scorer, func(t *testing.T) {
+			sys, groups := scorerSystem(t)
+			users := append(append([]string{}, groups[0]...), groups[6]...)
+			check := func(stage string) {
+				t.Helper()
+				direct := &cf.Recommender{
+					Store:           sys.ratings,
+					Sim:             measures[scorer](t, sys),
+					Delta:           sys.cfg.Delta,
+					RequirePositive: true,
+				}
+				scored := 0
+				for _, u := range users {
+					got, err := sys.MemberRelevances(scorer, u, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := direct.AllRelevances(model.UserID(u))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: %s scores %d items, direct %d", stage, u, len(got), len(want))
+					}
+					for item, w := range want {
+						if g, ok := got[item]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s: %s/%s = %v (%v), direct %v", stage, u, item, g, ok, w)
+						}
+					}
+					scored += len(want)
+				}
+				if scored == 0 {
+					t.Fatalf("%s: no relevances at all; the check is vacuous", stage)
+				}
+			}
+			check("cold")
+			check("warm")
+			if err := sys.AddRating(users[0], "doc0003", 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.AddRating(users[4], "doc0042", 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.AddRating("newcomer", "doc0007", 4); err != nil {
+				t.Fatal(err)
+			}
+			check("after rating writes")
+			p, err := sys.Patient(users[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.ID = users[1]
+			if err := sys.AddPatient(p); err != nil {
+				t.Fatal(err)
+			}
+			check("after a profile write")
+		})
+	}
+}
+
+// TestMemoScorersConcurrentServeWrites is the -race test of the
+// memoized scorers: readers serve profile, semantic and hybrid groups
+// and scrape CacheStats while one writer interleaves rating and profile
+// writes (each profile write rebuilds every measure, folding the old
+// memo's counters into the lifetime totals). Once quiesced, warm
+// answers must equal a cold rebuild's.
+func TestMemoScorersConcurrentServeWrites(t *testing.T) {
+	scorers := []string{"profile", "semantic", "hybrid"}
+	sys, groups := scorerSystem(t)
+	users := sys.SortedUsers()
+	script := func(s *System) error {
+		for n := 0; n < 24; n++ {
+			u := users[(7*n)%len(users)]
+			if n%6 == 5 {
+				p, err := s.Patient(users[n%len(users)])
+				if err != nil {
+					return err
+				}
+				p.ID = u
+				if err := s.AddPatient(p); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := s.AddRating(u, fmt.Sprintf("doc%04d", (11*n)%80), float64(1+n%5)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for w := range scorers {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				q := GroupQuery{Members: groups[(w+n)%len(groups)], Z: 4, Scorer: scorers[w]}
+				if _, err := sys.Serve(context.Background(), q); err != nil {
+					t.Errorf("reader %s: %v", scorers[w], err)
+					return
+				}
+				_ = sys.CacheStats()
+			}
+		}(w)
+	}
+	err := script(sys)
+	close(done)
+	readers.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := scorerSystem(t)
+	if err := script(fresh); err != nil {
+		t.Fatal(err)
+	}
+	for _, scorer := range scorers {
+		for _, g := range groups {
+			q := GroupQuery{Members: g, Z: 4, Scorer: scorer, Explain: true}
+			warm, err := sys.Serve(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := fresh.Serve(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(warm, cold) {
+				t.Errorf("%s %v: post-quiesce warm answer diverged from cold rebuild", scorer, g)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Delta != 0.5 || cfg.MinOverlap != 2 || cfg.K != 10 {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	if cfg.Similarity != SimilarityRatings || cfg.Aggregation != "avg" {
+	if cfg.Scorer != "user-cf" || cfg.Aggregation != "avg" {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }
@@ -60,8 +61,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Delta: 1.5}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad delta: %v", err)
 	}
-	if _, err := New(Config{Similarity: "telepathy"}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("bad similarity: %v", err)
+	if _, err := New(Config{Scorer: "telepathy"}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("bad scorer: %v", err)
 	}
 	if _, err := New(Config{Aggregation: "sum"}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad aggregation: %v", err)
@@ -320,8 +321,12 @@ func TestPatientLifecycle(t *testing.T) {
 	}
 }
 
+// TestSemanticSimilaritySystem: the semantic scorer ranks Table I as
+// the paper does. At a δ between sim(P1,P2) = 1/6 and sim(P1,P3) =
+// 2/11, patient3 is patient1's peer and patient2 is not, so patient1
+// is scored on patient3's document and not on patient2's.
 func TestSemanticSimilaritySystem(t *testing.T) {
-	sys, err := New(Config{Similarity: SimilaritySemantic, Delta: 0.2, K: 5})
+	sys, err := New(Config{Scorer: "semantic", Delta: 0.17, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,51 +340,80 @@ func TestSemanticSimilaritySystem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s13, ok13, err := sys.SimilarityBetween("patient1", "patient3")
-	if err != nil || !ok13 {
-		t.Fatal(err, ok13)
-	}
-	s12, ok12, err := sys.SimilarityBetween("patient1", "patient2")
-	if err != nil || !ok12 {
-		t.Fatal(err, ok12)
-	}
-	if s13 <= s12 {
-		t.Errorf("semantic sim(P1,P3)=%v must exceed sim(P1,P2)=%v (Table I)", s13, s12)
-	}
-}
-
-func TestProfileSimilarityRebuildsAfterUpdate(t *testing.T) {
-	sys, err := New(Config{Similarity: SimilarityProfile, Delta: 0.1, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	add := func(id string, problems ...string) {
-		t.Helper()
-		if err := sys.AddPatient(Patient{ID: id, Problems: problems}); err != nil {
+	for _, r := range []struct{ u, d string }{{"patient1", "d1"}, {"patient2", "d2"}, {"patient3", "d3"}} {
+		if err := sys.AddRating(r.u, r.d, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	add("a", "10509002") // acute bronchitis
-	add("b", "29857009") // chest pain
-	add("c", "44054006") // diabetes type 2 (needed so idf ≠ 0 everywhere)
-	s1, ok, err := sys.SimilarityBetween("a", "b")
+	rel, err := sys.MemberRelevances("semantic", "patient1", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = ok
-	// now make b's profile identical to a's — similarity must jump to 1
-	if err := sys.AddPatient(Patient{ID: "b", Problems: []string{"10509002"}}); err != nil {
+	if _, ok := rel["d3"]; !ok {
+		t.Errorf("patient3 is not patient1's semantic peer: relevances %v", rel)
+	}
+	if _, ok := rel["d2"]; ok {
+		t.Errorf("patient2 is patient1's semantic peer at δ 0.17 > sim 1/6: relevances %v", rel)
+	}
+}
+
+// TestProfileSimilarityRebuildsAfterUpdate: a profile write rebuilds
+// the profile scorer's corpus and flushes its memo, so after b's
+// profile becomes a's, a's warm relevances equal a cold rebuild's
+// instead of riding the stale pair (a, b).
+func TestProfileSimilarityRebuildsAfterUpdate(t *testing.T) {
+	profiles := map[string][]string{
+		"a": {"10509002"}, // acute bronchitis
+		"b": {"29857009"}, // chest pain
+		"c": {"44054006"}, // diabetes type 2 (needed so idf ≠ 0 everywhere)
+	}
+	seed := func(t *testing.T) *System {
+		t.Helper()
+		sys, err := New(Config{Scorer: "profile", Delta: 0.1, K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"a", "b", "c"} {
+			if err := sys.AddPatient(Patient{ID: id, Problems: profiles[id]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range []struct {
+			u, d string
+			v    float64
+		}{
+			{"a", "d1", 4}, {"b", "d1", 5}, {"b", "d2", 5}, {"b", "d3", 1},
+			{"c", "d1", 2}, {"c", "d2", 1}, {"c", "d3", 5},
+		} {
+			if err := sys.AddRating(r.u, r.d, r.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sys
+	}
+	sys := seed(t)
+	before, err := sys.MemberRelevances("profile", "a", false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2, ok2, err := sys.SimilarityBetween("a", "b")
-	if err != nil || !ok2 {
-		t.Fatal(err, ok2)
+	// now make b's profile identical to a's — the (a, b) pair must move
+	profiles["b"] = profiles["a"]
+	if err := sys.AddPatient(Patient{ID: "b", Problems: profiles["b"]}); err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(s2-1) > 1e-9 {
-		t.Errorf("identical profiles similarity = %v, want 1 (stale cache?)", s2)
+	warm, err := sys.MemberRelevances("profile", "a", false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s2 <= s1 {
-		t.Errorf("similarity should increase after matching profiles: %v → %v", s1, s2)
+	cold, err := seed(t).MemberRelevances("profile", "a", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("after the profile write a's relevances = %v, cold rebuild %v (stale memo?)", warm, cold)
+	}
+	if reflect.DeepEqual(before, warm) {
+		t.Errorf("matching b's profile to a's left a's relevances unchanged: %v", warm)
 	}
 }
 

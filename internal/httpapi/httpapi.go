@@ -25,7 +25,7 @@
 //
 // POST /v1/groups/recommend takes the full fairhealth.GroupQuery as
 // its body — members, z, method (greedy|brute), relevance
-// scorer (user-cf|item-cf|profile), brute-force bounds, per-query
+// scorer (user-cf|item-cf|profile|semantic|hybrid), brute-force bounds, per-query
 // aggregation and fairness k, and an explain flag — and the batch
 // endpoint takes a list of such queries, so one batch can mix methods,
 // scorers, and parameters per group. Batch requests are

@@ -344,12 +344,12 @@ func TestBatchQueriesForm(t *testing.T) {
 	}
 }
 
-// newHybridTestServer is newTestServer under the hybrid similarity,
-// whose pair memo (Pearson included) fills on serves. Under the default
-// ratings similarity caches.similarity reads zero.
+// newHybridTestServer is newTestServer with the hybrid scorer as the
+// default, whose pair memo (Pearson included) fills on serves. Under
+// user-cf alone caches.similarity reads zero.
 func newHybridTestServer(t *testing.T) (*Server, *fairhealth.System) {
 	t.Helper()
-	sys, err := fairhealth.New(fairhealth.Config{MinOverlap: 1, K: 5, Similarity: fairhealth.SimilarityHybrid})
+	sys, err := fairhealth.New(fairhealth.Config{MinOverlap: 1, K: 5, Scorer: "hybrid"})
 	if err != nil {
 		t.Fatal(err)
 	}

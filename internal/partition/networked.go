@@ -127,8 +127,6 @@ func ConfigFingerprint(cfg fairhealth.Config) string {
 		"delta=" + f(cfg.Delta),
 		"overlap=" + strconv.Itoa(cfg.MinOverlap),
 		"k=" + strconv.Itoa(cfg.K),
-		"sim=" + string(cfg.Similarity),
-		"hybrid=" + f(cfg.HybridWeights.Ratings) + "," + f(cfg.HybridWeights.Profile) + "," + f(cfg.HybridWeights.Semantic),
 		"aggr=" + cfg.Aggregation,
 		"scorer=" + cfg.Scorer,
 		"cidx=" + strconv.FormatBool(cfg.CandidateIndex),

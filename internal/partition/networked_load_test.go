@@ -11,6 +11,7 @@ import (
 	"fairhealth/internal/dataset"
 	"fairhealth/internal/model"
 	"fairhealth/internal/partition"
+	"fairhealth/internal/scoring"
 )
 
 // loadInput is a synthetic world as Load takes it: ratings, patients,
@@ -128,7 +129,7 @@ func TestLoadMatchesOneWriteAtATime(t *testing.T) {
 		{users[2], users[5]},
 		{users[30], users[31], users[32], users[33]},
 	}
-	for _, scorer := range []string{"user-cf", "item-cf", "profile"} {
+	for _, scorer := range scoring.Names() {
 		for _, aggr := range []string{"avg", "min"} {
 			for _, g := range groups {
 				q := fairhealth.GroupQuery{Members: g, Z: 5, Scorer: scorer, Aggregation: aggr, Explain: true}
@@ -280,7 +281,7 @@ func TestLoadWithWorkerDownConverges(t *testing.T) {
 		}
 	}
 	for _, g := range memoGroups(t, coord, coord.Patients(), 3) {
-		for _, scorer := range []string{"user-cf", "item-cf", "profile"} {
+		for _, scorer := range scoring.Names() {
 			serveEqual(t, "rejoined "+scorer, truth, coord, fairhealth.GroupQuery{Members: g, Z: 5, Scorer: scorer, Explain: true})
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"fairhealth/internal/partition"
 	"fairhealth/internal/partition/transport"
 	"fairhealth/internal/ratings"
+	"fairhealth/internal/scoring"
 )
 
 // netWorker is one in-test "worker process": a full System behind a
@@ -134,7 +135,7 @@ func TestNetworkedBitIdenticalToSingleSystem(t *testing.T) {
 		aggr   string
 	}
 	var combos []combo
-	for _, scorer := range []string{"user-cf", "item-cf", "profile"} {
+	for _, scorer := range scoring.Names() {
 		for _, aggr := range []string{"avg", "min"} {
 			combos = append(combos,
 				combo{scorer, fairhealth.MethodGreedy, aggr},
@@ -515,7 +516,7 @@ func TestNetworkedWorkerKilledDuringCommit(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	for _, scorer := range []string{"user-cf", "item-cf", "profile"} {
+	for _, scorer := range scoring.Names() {
 		q := fairhealth.GroupQuery{Members: []string{ids[1], ids[4], ids[9]}, Z: 5, Scorer: scorer, Explain: true}
 		want, err := truth.Serve(ctx, q)
 		if err != nil {

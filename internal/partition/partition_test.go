@@ -11,6 +11,7 @@ import (
 	"fairhealth"
 	"fairhealth/internal/dataset"
 	"fairhealth/internal/partition"
+	"fairhealth/internal/scoring"
 )
 
 // seedTarget is the write surface shared by System and Coordinator.
@@ -97,7 +98,7 @@ func TestServeBitIdenticalToSingleSystem(t *testing.T) {
 		aggr   string
 	}
 	var combos []combo
-	for _, scorer := range []string{"user-cf", "item-cf", "profile"} {
+	for _, scorer := range scoring.Names() {
 		for _, aggr := range []string{"avg", "min"} {
 			combos = append(combos,
 				combo{scorer, fairhealth.MethodGreedy, aggr},

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,6 +29,8 @@ type fakeBackend struct {
 	relevances map[string]map[model.ItemID]float64
 	relGate    map[string]chan struct{}
 	relErr     error
+	// relPanic makes MemberRelevances panic for this user.
+	relPanic string
 
 	relCalls atomic.Int64
 }
@@ -52,7 +55,11 @@ func (f *fakeBackend) MemberRelevances(scorer, user string, approx bool) (map[mo
 	gate := f.relGate[user]
 	m, ok := f.relevances[user]
 	relErr := f.relErr
+	relPanic := f.relPanic
 	f.mu.Unlock()
+	if user == relPanic {
+		panic("backend bug")
+	}
 	if gate != nil {
 		<-gate
 	}
@@ -233,6 +240,35 @@ func TestRelevancesRoundTripAndStats(t *testing.T) {
 	var we *WireError
 	if !errors.As(err, &we) {
 		t.Fatalf("unknown member error is %T, want *WireError", err)
+	}
+}
+
+// TestHandlerPanicAnswersError: a backend op that panics is answered
+// with an error reply instead of killing the worker, and the next call
+// on the same connection succeeds.
+func TestHandlerPanicAnswersError(t *testing.T) {
+	fb := &fakeBackend{
+		relevances: map[string]map[model.ItemID]float64{"u1": {"d1": 0.5}},
+		relPanic:   "boom",
+	}
+	var st Stats
+	cl := startServer(t, fb, "fp", ClientOptions{Stats: &st, PoolSize: 1})
+	ctx := context.Background()
+
+	err := cl.Relevances(ctx, "user-cf", false, []model.UserID{"boom"}, make([]map[model.ItemID]float64, 1))
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != errGeneric || !strings.Contains(we.Msg, "backend bug") {
+		t.Fatalf("panicking op: %v (%T), want an errGeneric *WireError naming the panic", err, err)
+	}
+	out := make([]map[model.ItemID]float64, 1)
+	if err := cl.Relevances(ctx, "user-cf", false, []model.UserID{"u1"}, out); err != nil {
+		t.Fatalf("call after the panic: %v", err)
+	}
+	if out[0]["d1"] != 0.5 {
+		t.Fatalf("call after the panic answered %v", out)
+	}
+	if d := st.Snapshot().Dials; d != 1 {
+		t.Fatalf("%d dials, want 1 (the connection must survive the panic)", d)
 	}
 }
 

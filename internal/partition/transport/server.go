@@ -194,8 +194,14 @@ func (sc *serverConn) reply(reqID uint64, status byte, payload []byte) {
 // and an optional release hook returning pooled payload scratch after
 // the reply is written. Application errors become status codes with
 // the error text, so the client can rebuild sentinel-compatible
-// errors.
-func (sc *serverConn) handle(f frame) (byte, []byte, func()) {
+// errors. A panic in a decoder or in the backend answers this request
+// with errGeneric and the panic text instead of killing the worker.
+func (sc *serverConn) handle(f frame) (status byte, payload []byte, release func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			status, payload, release = errGeneric, []byte(fmt.Sprintf("transport: panic serving op %d: %v", f.op, r)), nil
+		}
+	}()
 	ctx := context.Background()
 	var cancel context.CancelFunc = func() {}
 	if f.deadlineMicros > 0 {

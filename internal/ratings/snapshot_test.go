@@ -224,6 +224,11 @@ func TestSnapshotIncrementalMatchesFull(t *testing.T) {
 // observed row is internally consistent: parallel slices, ascending
 // items, a mean that equals the ascending-order sum of exactly the
 // observed ratings, and indices that address the snapshot's catalogue.
+//
+// Each writer is paced to at most pace writes per reader snapshot.
+// Unpaced, the writers add items faster than the reader can check
+// them, and every snapshot after a new item re-addresses every row, so
+// the reader's time per snapshot grows without bound.
 func TestSnapshotNoTornViews(t *testing.T) {
 	s := New()
 	const n = 50
@@ -233,19 +238,30 @@ func TestSnapshotNoTornViews(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := make(chan struct{})
+	const pace = 64
+	var (
+		mu      sync.Mutex
+		resume  = sync.NewCond(&mu)
+		taken   int // snapshots the reader has taken
+		stopped bool
+	)
+	// allowed blocks a writer that has made done writes until the reader
+	// catches up, and reports false once the reader is finished.
+	allowed := func(done int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for !stopped && done >= pace*(taken+1) {
+			resume.Wait()
+		}
+		return !stopped
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for done := 0; allowed(done); done++ {
 				uid := model.UserID(fmt.Sprintf("u%02d", rng.Intn(n)))
 				iid := model.ItemID(fmt.Sprintf("i%d", rng.Intn(20)))
 				if rng.Intn(8) == 0 { // a brand-new item: the catalogue is rebuilt
@@ -259,8 +275,19 @@ func TestSnapshotNoTornViews(t *testing.T) {
 			}
 		}(int64(w))
 	}
+	defer func() {
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
+		resume.Broadcast()
+		wg.Wait()
+	}()
 	for k := 0; k < 200; k++ {
 		sn := s.Snapshot()
+		mu.Lock()
+		taken++
+		mu.Unlock()
+		resume.Broadcast()
 		for _, u := range sn.Users() {
 			row, ok := sn.Row(u)
 			if !ok {
@@ -282,8 +309,6 @@ func TestSnapshotNoTornViews(t *testing.T) {
 		}
 		checkCatalogue(t, sn)
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // checkCatalogue asserts the catalogue invariants of one snapshot: the

@@ -2,7 +2,9 @@ package scoring
 
 import (
 	"sync"
+	"time"
 
+	"fairhealth/internal/cache"
 	"fairhealth/internal/candidates"
 	"fairhealth/internal/cf"
 	"fairhealth/internal/clustering"
@@ -13,10 +15,9 @@ import (
 
 // ---------------------------------------------------------------------------
 // user-cf — the default: the paper's §III.A model, riding the owner's
-// similarity memo and peer cache through the fenced recommender
-// factory. Invalidation is a no-op here because the owner already
-// routes writes down those shared caches; duplicating the eviction
-// would double-count.
+// Pearson rows and peer cache through the fenced recommender factory.
+// Invalidation is a no-op here because the owner already routes writes
+// down that shared cache; duplicating the eviction would double-count.
 
 type userCF struct {
 	deps Deps
@@ -162,36 +163,79 @@ func (p *itemCF) InvalidateAll() {
 func (p *itemCF) Close() {}
 
 // ---------------------------------------------------------------------------
-// profile — user-user CF with peers selected by profile-cosine
-// similarity. The provider owns its similarity memo and peer cache
-// (internal/cache instantiations via the simfn/cf adapters) because
-// the owner's shared layers are built for the configured measure.
-// Rating writes leave the similarity memo warm (profile cosine is a
-// function of profiles only) but touch the writers in the peer cache —
-// the peer-scan candidate universe is the set of RATED users, which a
-// first or last rating changes, so every other set re-checks a writer
-// on its next read. Profile writes rebuild the corpus and flush the
-// peer sets.
+// profile, semantic, hybrid — user-user CF with peers selected by a
+// memoized §V measure: profile cosine (Def. 4 + Eq. 3), ontology path
+// similarity (Eq. 4), or their blend with normalized Pearson. Each
+// provider owns its pair memo and peer cache (internal/cache
+// instantiations via the simfn/cf adapters); the owner's shared peer
+// cache belongs to user-cf's Pearson. A rating write touches the
+// writers in the peer cache — the peer-scan candidate universe is the
+// set of RATED users, which a first or last rating changes, so every
+// other set re-checks a writer on its next read — and, when the
+// measure reads ratings (hybrid), first evicts the writers' memo rows.
+// Profile writes rebuild the measure and flush the peer sets.
 
-type profileCF struct {
-	deps  Deps
-	peers *cf.PeerCache
-	// idx clusters the profiled users over their frozen TF-IDF term
-	// vectors for approx-mode peer search; nil when the candidate
-	// index is disabled. Rating writes don't touch it (term vectors
-	// are a function of profiles only); a corpus rebuild invalidates
-	// it wholesale.
-	idx *candidates.Index
+// hybridWeight weights each of the hybrid measure's three components.
+const hybridWeight = 1
 
-	mu    sync.Mutex
-	sim   *simfn.Cached
-	pc    *simfn.ProfileCosine
-	dirty bool
+// profileMeasure is profile cosine over TF-IDF vectors of the rendered
+// profiles, frozen at build time.
+func profileMeasure(d Deps) (simfn.UserSimilarity, error) {
+	return simfn.BuildProfileCosine(d.Profiles, d.Ontology, nil)
 }
 
-func newProfileCF(d Deps) Provider {
-	p := &profileCF{
-		deps: d,
+// semanticMeasure is the ontology path similarity of coded health
+// problems, aggregated by harmonic mean.
+func semanticMeasure(d Deps) (simfn.UserSimilarity, error) {
+	return simfn.Semantic{Ont: d.Ontology, Problems: d.Profiles.Problems}, nil
+}
+
+// hybridMeasure blends normalized Pearson, profile cosine and the
+// semantic measure with equal weights.
+func hybridMeasure(d Deps) (simfn.UserSimilarity, error) {
+	pc, err := simfn.BuildProfileCosine(d.Profiles, d.Ontology, nil)
+	if err != nil {
+		return nil, err
+	}
+	return simfn.Weighted{Components: []simfn.Component{
+		{S: simfn.Normalized{S: simfn.Pearson{Store: d.Ratings, MinOverlap: d.MinOverlap}}, Weight: hybridWeight},
+		{S: pc, Weight: hybridWeight},
+		{S: simfn.Semantic{Ont: d.Ontology, Problems: d.Profiles.Problems}, Weight: hybridWeight},
+	}}, nil
+}
+
+// memoCF is user-user CF over one memoized §V measure, which build
+// assembles from the current stores.
+type memoCF struct {
+	name  string
+	deps  Deps
+	build func(Deps) (simfn.UserSimilarity, error)
+	// ratingsFed marks a measure that reads ratings, whose memo rows a
+	// rating write must evict.
+	ratingsFed bool
+	peers      *cf.PeerCache
+	// idx clusters the profiled users over their frozen TF-IDF term
+	// vectors for approx-mode peer search; only the profile provider
+	// has one, and only with the candidate index enabled. Rating writes
+	// don't touch it (term vectors are a function of profiles only); a
+	// rebuild invalidates it wholesale.
+	idx *candidates.Index
+
+	mu      sync.Mutex
+	sim     *simfn.Cached
+	measure simfn.UserSimilarity
+	dirty   bool
+	// base accumulates the counters of memos discarded by rebuilds, so
+	// MemoStats reports lifetime totals.
+	base cache.Stats
+}
+
+func newMemoCF(name string, d Deps, build func(Deps) (simfn.UserSimilarity, error), ratingsFed bool) *memoCF {
+	return &memoCF{
+		name:       name,
+		deps:       d,
+		build:      build,
+		ratingsFed: ratingsFed,
 		peers: cf.NewPeerCacheWith(cf.PeerCacheOptions{
 			TTL:        d.CacheTTL,
 			MaxEntries: d.CacheMaxEntries,
@@ -199,46 +243,59 @@ func newProfileCF(d Deps) Provider {
 		}),
 		dirty: true,
 	}
+}
+
+func newProfileCF(d Deps) Provider {
+	p := newMemoCF(NameProfile, d, profileMeasure, false)
 	if d.CandidateIndex {
 		p.idx = candidates.New(p.termSnapshot, candidates.Config{K: d.CandidateK, Seed: 1})
 	}
 	return p
 }
 
-func (p *profileCF) Name() string { return NameProfile }
+func (p *memoCF) Name() string { return p.name }
 
-// cosine returns the current frozen similarity, rebuilding the corpus
-// when a profile write dirtied it.
-func (p *profileCF) cosine() (*simfn.Cached, *simfn.ProfileCosine, error) {
+// similarity returns the current memoized measure, rebuilding it when a
+// profile write dirtied it. The discarded memo's counters move to base,
+// its live entries counted as evictions (as the peer cache counts a
+// flush).
+func (p *memoCF) similarity() (*simfn.Cached, simfn.UserSimilarity, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dirty {
-		pc, err := simfn.BuildProfileCosine(p.deps.Profiles, p.deps.Ontology, nil)
+		m, err := p.build(p.deps)
 		if err != nil {
 			return nil, nil, err
 		}
 		if p.sim != nil {
+			st := p.sim.Stats()
+			p.base.Hits += st.Hits
+			p.base.Misses += st.Misses
+			p.base.Evictions += st.Evictions + uint64(st.Entries)
+			p.base.Expirations += st.Expirations
 			p.sim.Close()
 		}
-		p.sim = simfn.NewCachedWith(pc, simfn.CacheOptions{
+		p.sim = simfn.NewCachedWith(m, simfn.CacheOptions{
 			TTL:        p.deps.CacheTTL,
 			MaxEntries: p.deps.CacheMaxEntries,
 			MaxCost:    p.deps.CacheMaxCost,
 		})
-		p.pc = pc
+		p.measure = m
 		p.dirty = false
 	}
-	return p.sim, p.pc, nil
+	return p.sim, p.measure, nil
 }
 
-// termSnapshot feeds the candidate index: the profiled users and
-// their frozen TF-IDF term vectors (terms cast to the clustering
-// feature-key type). Called by the index at (re)build time.
-func (p *profileCF) termSnapshot() ([]model.UserID, clustering.VectorFunc, error) {
-	_, pc, err := p.cosine()
+// termSnapshot feeds the profile provider's candidate index: the
+// profiled users and their frozen TF-IDF term vectors (terms cast to
+// the clustering feature-key type). Called by the index at (re)build
+// time.
+func (p *memoCF) termSnapshot() ([]model.UserID, clustering.VectorFunc, error) {
+	_, m, err := p.similarity()
 	if err != nil {
 		return nil, nil, err
 	}
+	pc := m.(*simfn.ProfileCosine)
 	vf := func(u model.UserID) map[model.ItemID]float64 {
 		tv := pc.TermVector(u)
 		if tv == nil {
@@ -255,11 +312,11 @@ func (p *profileCF) termSnapshot() ([]model.UserID, clustering.VectorFunc, error
 
 // recommender snapshots the similarity under a peer-cache fence — the
 // same capture order as the owner's user-cf factory: the fence comes
-// first, so a corpus rebuild between the two steps can only fence off
-// (never admit) peer sets computed from the older snapshot.
-func (p *profileCF) recommender() (*cf.Recommender, error) {
+// first, so a rebuild between the two steps can only fence off (never
+// admit) peer sets computed from the older snapshot.
+func (p *memoCF) recommender() (*cf.Recommender, error) {
 	gen, seq := p.peers.Fence()
-	sim, _, err := p.cosine()
+	sim, _, err := p.similarity()
 	if err != nil {
 		return nil, err
 	}
@@ -279,12 +336,13 @@ func (p *profileCF) recommender() (*cf.Recommender, error) {
 // every rated user. No shared peer cache — an approx peer set must
 // never be served to a later exact query. Cluster members who have
 // no ratings contribute nothing to Eq. 1 (they rate no items), so
-// they are harmless in the candidate list.
-func (p *profileCF) RelevancesApprox(u model.UserID) (map[model.ItemID]float64, error) {
+// they are harmless in the candidate list. Without a term index
+// (semantic, hybrid, or the index disabled) it answers exactly.
+func (p *memoCF) RelevancesApprox(u model.UserID) (map[model.ItemID]float64, error) {
 	if p.idx == nil {
 		return p.Relevances(u)
 	}
-	sim, _, err := p.cosine()
+	sim, _, err := p.similarity()
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +356,7 @@ func (p *profileCF) RelevancesApprox(u model.UserID) (map[model.ItemID]float64, 
 	return rec.AllRelevances(u)
 }
 
-func (p *profileCF) Relevances(u model.UserID) (map[model.ItemID]float64, error) {
+func (p *memoCF) Relevances(u model.UserID) (map[model.ItemID]float64, error) {
 	rec, err := p.recommender()
 	if err != nil {
 		return nil, err
@@ -306,7 +364,7 @@ func (p *profileCF) Relevances(u model.UserID) (map[model.ItemID]float64, error)
 	return rec.AllRelevances(u)
 }
 
-func (p *profileCF) Relevance(u model.UserID, i model.ItemID) (float64, bool, error) {
+func (p *memoCF) Relevance(u model.UserID, i model.ItemID) (float64, bool, error) {
 	rec, err := p.recommender()
 	if err != nil {
 		return 0, false, err
@@ -314,20 +372,29 @@ func (p *profileCF) Relevance(u model.UserID, i model.ItemID) (float64, bool, er
 	return rec.Relevance(u, i)
 }
 
-// InvalidateUsers records the touched users in the peer cache. The
-// SIMILARITY memo stays warm — profile cosine really is a function of
-// profiles only — but peer sets are not ratings-independent: the
-// candidate universe a peer scan ranges over is the rated users, so a
-// user's first-ever rating pulls them INTO profile-similar users'
-// peer sets (and removing their last rating drops them out). Without
-// the touch, warm peer sets would permanently miss the newcomer and
-// warm serves would diverge from a cold rebuild.
-func (p *profileCF) InvalidateUsers(users []model.UserID) {
+// InvalidateUsers evicts the writers' memo rows when the measure reads
+// ratings, then records the writers in the peer cache. The order
+// matters: a peer-cache fence captured after EvictUsers can only
+// observe post-eviction memo rows, so a set stored under it is built
+// from post-write data. A profile-only memo stays warm, but peer sets
+// are not ratings-independent: the candidate universe a peer scan
+// ranges over is the rated users, so a user's first-ever rating pulls
+// them INTO similar users' peer sets (and removing their last rating
+// drops them out). Without the touch, warm peer sets would permanently
+// miss the newcomer and warm serves would diverge from a cold rebuild.
+func (p *memoCF) InvalidateUsers(users []model.UserID) {
+	if p.ratingsFed {
+		p.mu.Lock()
+		if p.sim != nil {
+			p.sim.EvictRows(users)
+		}
+		p.mu.Unlock()
+	}
 	p.peers.EvictUsers(users)
 }
 
-func (p *profileCF) InvalidateAll() {
-	// Mark the corpus dirty before bumping the peer generation, so a
+func (p *memoCF) InvalidateAll() {
+	// Mark the measure dirty before bumping the peer generation, so a
 	// post-bump recommender always snapshots a fresh similarity
 	// (mirrors the owner's invalidateAll ordering).
 	p.mu.Lock()
@@ -340,7 +407,27 @@ func (p *profileCF) InvalidateAll() {
 	}
 }
 
-func (p *profileCF) Close() {
+// MemoStats implements Memo.
+func (p *memoCF) MemoStats(bounds []time.Duration) (sim, peers LayerStats) {
+	p.mu.Lock()
+	sim.Stats = p.base
+	c := p.sim
+	if c != nil {
+		st := c.Stats()
+		sim.Hits += st.Hits
+		sim.Misses += st.Misses
+		sim.Evictions += st.Evictions
+		sim.Expirations += st.Expirations
+		sim.Entries, sim.Cost = st.Entries, st.Cost
+	}
+	p.mu.Unlock()
+	if c != nil {
+		sim.Ages = c.AgeHistogram(bounds)
+	}
+	return sim, LayerStats{Stats: cache.Stats(p.peers.Stats()), Ages: p.peers.AgeHistogram(bounds)}
+}
+
+func (p *memoCF) Close() {
 	p.mu.Lock()
 	if p.sim != nil {
 		p.sim.Close()

@@ -12,27 +12,25 @@
 // rest of the system (InvalidateUsers for rating writes,
 // InvalidateAll for profile writes and explicit flushes).
 //
-// Three providers are registered out of the box:
+// Five providers are registered out of the box:
 //
 //   - "user-cf" (the default): the paper's own §III.A model — peers
-//     above δ under the system-configured similarity measure, Eq. 1
-//     weighted averaging. It delegates to the owner's fenced
-//     cf.Recommender factory, so it rides the system's similarity memo
-//     and peer-set cache unchanged.
+//     above δ under normalized Pearson (Eq. 2), Eq. 1 weighted
+//     averaging. It delegates to the owner's fenced cf.Recommender
+//     factory, so it rides the system's peer-set cache unchanged.
 //   - "item-cf": item-based CF (Sarwar et al.) over internal/itemcf.
 //     The item-item neighbor model is built lazily on first use and
-//     rebuilt after any rating write (the model is a global function
-//     of the ratings, so scoped invalidation degrades to a whole-model
-//     rebuild — still lazy, so write bursts pay one rebuild, not one
-//     per write). Scales with items rather than users.
-//   - "profile": user-user CF where peers are selected by
-//     profile-cosine similarity (Def. 4 + Eq. 3) instead of the
-//     configured measure — relevance for cold raters whose profiles,
-//     not rating histories, carry the signal. Rating writes leave its
-//     similarity memo untouched (profile cosine is a function of
-//     profiles only) but evict the touched users' peer sets, whose
-//     candidate universe is the rated-user set; profile writes
-//     rebuild the corpus.
+//     patched for the writers after rating writes (a write burst pays
+//     one patch, not one per write). Scales with items rather than
+//     users.
+//   - "profile", "semantic" and "hybrid": user-user CF where peers are
+//     selected by another §V measure — profile cosine (Def. 4 +
+//     Eq. 3), ontology path similarity of coded problems (Eq. 4), or
+//     the equal-weight blend of both with normalized Pearson. Each
+//     owns a pair memo and a peer cache. Rating writes evict the
+//     touched users' peer sets, whose candidate universe is the
+//     rated-user set, and (hybrid only, the one measure that reads
+//     ratings) their memo rows; profile writes rebuild the measure.
 //
 // New backends are one Register call from anywhere inside this
 // module (the package is internal, so the extension point is
@@ -49,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"fairhealth/internal/cache"
 	"fairhealth/internal/cf"
 	"fairhealth/internal/model"
 	"fairhealth/internal/ontology"
@@ -71,9 +70,11 @@ const DefaultName = NameUserCF
 
 // The built-in provider names.
 const (
-	NameUserCF  = "user-cf"
-	NameItemCF  = "item-cf"
-	NameProfile = "profile"
+	NameUserCF   = "user-cf"
+	NameItemCF   = "item-cf"
+	NameProfile  = "profile"
+	NameSemantic = "semantic"
+	NameHybrid   = "hybrid"
 )
 
 // Provider is a relevance backend: per-user scored candidate lists
@@ -115,9 +116,9 @@ type Deps struct {
 	Profiles *phr.Store
 	// Ontology expands problem codes when rendering profiles.
 	Ontology *ontology.Ontology
-	// UserCF returns the owner's fenced user-user CF recommender — the
-	// default path's engine, shared so the user-cf scorer rides the
-	// system's similarity memo and peer cache bit-identically.
+	// UserCF returns the owner's fenced user-user CF recommender over
+	// normalized Pearson — the default path's engine, shared so the
+	// user-cf scorer rides the system's peer cache bit-identically.
 	UserCF func() (*cf.Recommender, error)
 	// UserCFApprox returns the approx-mode recommender — peer scan
 	// restricted to the query user's cluster neighborhood in the
@@ -142,6 +143,20 @@ type Deps struct {
 	CacheTTL        time.Duration
 	CacheMaxEntries int
 	CacheMaxCost    int64
+}
+
+// Memo is the optional Provider extension for a provider that owns
+// memo layers: MemoStats reports its pair memo's and peer cache's
+// lifetime counters, each with its entry-age histogram at bounds.
+type Memo interface {
+	MemoStats(bounds []time.Duration) (sim, peers LayerStats)
+}
+
+// LayerStats is one memo layer's counters plus its entry-age histogram
+// (len(bounds)+1 buckets; nil when the layer was never built).
+type LayerStats struct {
+	cache.Stats
+	Ages []int
 }
 
 // Factory builds a provider over the system's stores.
@@ -205,6 +220,8 @@ func init() {
 	Register(NameUserCF, func(d Deps) Provider { return &userCF{deps: d} })
 	Register(NameItemCF, newItemCF)
 	Register(NameProfile, newProfileCF)
+	Register(NameSemantic, func(d Deps) Provider { return newMemoCF(NameSemantic, d, semanticMeasure, false) })
+	Register(NameHybrid, func(d Deps) Provider { return newMemoCF(NameHybrid, d, hybridMeasure, true) })
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package scoring
 import (
 	"errors"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 
@@ -13,6 +14,15 @@ import (
 	"fairhealth/internal/simfn"
 	"fairhealth/internal/snomed"
 )
+
+// builtins are the scorers the package registers itself, captured
+// before any test registers its own.
+var builtins []string
+
+func TestMain(m *testing.M) {
+	builtins = Names()
+	os.Exit(m.Run())
+}
 
 func testDeps(t *testing.T) Deps {
 	t.Helper()
@@ -36,12 +46,9 @@ func testDeps(t *testing.T) Deps {
 }
 
 func TestRegistryBuiltins(t *testing.T) {
-	want := []string{NameItemCF, NameProfile, NameUserCF}
-	names := Names()
-	for _, w := range want {
-		if !Registered(w) {
-			t.Errorf("built-in scorer %q not registered (have %v)", w, names)
-		}
+	want := []string{NameHybrid, NameItemCF, NameProfile, NameSemantic, NameUserCF}
+	if !reflect.DeepEqual(builtins, want) {
+		t.Errorf("built-in scorers = %v, want %v", builtins, want)
 	}
 	if Registered("no-such-scorer") {
 		t.Error("unregistered name reported as registered")
@@ -129,7 +136,7 @@ func TestAssembleErrors(t *testing.T) {
 // a single bit of any assembled score.
 func TestAssembleParallelMatchesSerial(t *testing.T) {
 	d := testDeps(t)
-	for _, name := range []string{NameUserCF, NameItemCF, NameProfile} {
+	for _, name := range builtins {
 		p, err := New(name, d)
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +266,7 @@ func TestProfileProviderRebuildsOnInvalidateAll(t *testing.T) {
 // maps — the contract the group-input memo depends on.
 func TestProviderDeterminism(t *testing.T) {
 	d := testDeps(t)
-	for _, name := range []string{NameUserCF, NameItemCF, NameProfile} {
+	for _, name := range builtins {
 		p, err := New(name, d)
 		if err != nil {
 			t.Fatal(err)

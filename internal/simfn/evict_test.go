@@ -1,7 +1,6 @@
 package simfn
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -53,9 +52,7 @@ func TestEvictRowsKeepsRestWarm(t *testing.T) {
 		}
 	}
 	c := NewCached(inner)
-	if _, err := c.WarmAll(context.Background(), users, 2); err != nil {
-		t.Fatal(err)
-	}
+	touchAll(c, users)
 	full := len(users) * (len(users) - 1) / 2
 	if c.Len() != full {
 		t.Fatalf("warm Len = %d, want %d", c.Len(), full)
@@ -125,25 +122,6 @@ func TestEvictRowsFencesInflightLookup(t *testing.T) {
 	<-done
 	if c.Len() != 0 {
 		t.Fatalf("stale in-flight result was cached: Len = %d, want 0", c.Len())
-	}
-	// The same fence must hold for the parallel warm path.
-	gated.Store(true)
-	computing = make(chan struct{})
-	release = make(chan struct{})
-	warmDone := make(chan struct{})
-	go func() {
-		defer close(warmDone)
-		if _, err := c.WarmAll(context.Background(), []model.UserID{"a", "b"}, 1); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-computing
-	c.EvictRows([]model.UserID{"b"})
-	gated.Store(false)
-	close(release)
-	<-warmDone
-	if c.Len() != 0 {
-		t.Fatalf("warm merged a fenced-off entry: Len = %d, want 0", c.Len())
 	}
 }
 

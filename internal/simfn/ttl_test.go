@@ -2,13 +2,84 @@ package simfn
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"fairhealth/internal/model"
+	"fairhealth/internal/ratings"
 )
+
+// warmStore builds a deterministic ratings matrix with enough overlap
+// for Pearson to be defined on most pairs.
+func warmStore(t testing.TB, users, items int) (*ratings.Store, []model.UserID) {
+	t.Helper()
+	st := ratings.New()
+	ids := make([]model.UserID, users)
+	for u := 0; u < users; u++ {
+		ids[u] = model.UserID(fmt.Sprintf("u%03d", u))
+		for i := 0; i < items; i++ {
+			if (u+i)%4 == 0 {
+				continue // leave holes so the matrix is sparse
+			}
+			v := model.Rating(1 + (u*7+i*3)%5)
+			if err := st.Add(ids[u], model.ItemID(fmt.Sprintf("d%03d", i)), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return st, ids
+}
+
+func warmMeasure(st *ratings.Store) UserSimilarity {
+	return Normalized{S: Pearson{Store: st, MinOverlap: 2}}
+}
+
+// touchAll looks up every unordered pair of users, filling c.
+func touchAll(c *Cached, users []model.UserID) {
+	for i, a := range users {
+		for _, b := range users[i+1:] {
+			c.Similarity(a, b)
+		}
+	}
+}
+
+// entryJSON is one live memo entry in canonical orientation.
+type entryJSON struct {
+	A, B model.UserID
+	Sim  float64
+	Ok   bool
+}
+
+// entries snapshots the live (unexpired) memo entries sorted by (A, B).
+func entries(c *Cached) []entryJSON {
+	var out []entryJSON
+	c.table.Range(func(k pairKey, e cacheEntry) bool {
+		out = append(out, entryJSON{A: k.a, B: k.b, Sim: e.sim, Ok: e.ok})
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].A != out[j].A {
+			return out[i].A < out[j].A
+		}
+		return out[i].B < out[j].B
+	})
+	return out
+}
+
+// entriesJSON renders a cache snapshot to bytes so "byte-identical" is
+// checked literally, not just structurally.
+func entriesJSON(t *testing.T, c *Cached) []byte {
+	t.Helper()
+	b, err := json.Marshal(entries(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // ttlClock is an injectable clock for deterministic expiry tests.
 type ttlClock struct {
@@ -36,13 +107,11 @@ func TestCachedTTLExpiredRecomputeBitIdentical(t *testing.T) {
 	base := warmMeasure(st)
 	clk := &ttlClock{t: time.Unix(1000, 0)}
 	c := NewCachedWith(base, CacheOptions{TTL: time.Minute, Clock: clk.Now, JanitorInterval: -1})
-	if _, err := c.WarmAll(context.Background(), users, 4); err != nil {
-		t.Fatal(err)
-	}
+	touchAll(c, users)
 	warmJSON := entriesJSON(t, c)
 
 	clk.advance(2 * time.Minute)
-	if got := len(c.Entries()); got != 0 {
+	if got := len(entries(c)); got != 0 {
 		t.Fatalf("expired table still exposes %d entries", got)
 	}
 	// Lookups past the lease recompute; a full re-touch rebuilds the
@@ -60,39 +129,12 @@ func TestCachedTTLExpiredRecomputeBitIdentical(t *testing.T) {
 		t.Fatal("expired-then-recomputed table differs from the original warm build")
 	}
 	cold := NewCached(base)
-	for i, a := range users {
-		for _, b := range users[i+1:] {
-			cold.Similarity(a, b)
-		}
-	}
+	touchAll(cold, users)
 	if !bytes.Equal(entriesJSON(t, c), entriesJSON(t, cold)) {
 		t.Fatal("TTL'd table differs from a cold build")
 	}
 	if st := c.Stats(); st.Expirations == 0 {
 		t.Errorf("no expirations counted: %+v", st)
-	}
-}
-
-// TestCachedTTLWarmRefreshesExpired: WarmAll over a table whose
-// entries lapsed treats them as missing and refreshes every pair.
-func TestCachedTTLWarmRefreshesExpired(t *testing.T) {
-	st, users := warmStore(t, 10, 20)
-	clk := &ttlClock{t: time.Unix(1000, 0)}
-	c := NewCachedWith(warmMeasure(st), CacheOptions{TTL: time.Minute, Clock: clk.Now, JanitorInterval: -1})
-	want := len(users) * (len(users) - 1) / 2
-	if n, err := c.WarmAll(context.Background(), users, 2); err != nil || n != want {
-		t.Fatalf("first warm = (%d,%v), want (%d,nil)", n, err, want)
-	}
-	clk.advance(2 * time.Minute)
-	n, err := c.WarmAll(context.Background(), users, 2)
-	if err != nil || n != want {
-		t.Fatalf("re-warm over expired table = (%d,%v), want (%d,nil)", n, err, want)
-	}
-	// The refreshed entries carry a fresh lease: half a TTL later the
-	// whole table is still live.
-	clk.advance(30 * time.Second)
-	if c.Len() != want {
-		t.Fatalf("refreshed table Len = %d, want %d", c.Len(), want)
 	}
 }
 
@@ -157,4 +199,39 @@ func TestCachedSingleflightDedupes(t *testing.T) {
 	if n := inner.calls.Load(); n != 1 {
 		t.Fatalf("inner ran %d times for one pair, want 1 (singleflight)", n)
 	}
+}
+
+// TestWarmConcurrentWithLookups: a goroutine filling the whole memo
+// races point lookups from four others, and every lookup answers what
+// the bare measure answers.
+func TestWarmConcurrentWithLookups(t *testing.T) {
+	st, users := warmStore(t, 24, 30)
+	base := warmMeasure(st)
+	c := NewCached(base)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		touchAll(c, users)
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(off int) {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				a := users[(k+off)%len(users)]
+				b := users[(k*3+off+1)%len(users)]
+				if a == b {
+					continue
+				}
+				gotSim, gotOK := c.Similarity(a, b)
+				wantSim, wantOK := base.Similarity(a, b)
+				if gotSim != wantSim || gotOK != wantOK {
+					t.Errorf("pair (%s,%s): got (%v,%v), want (%v,%v)", a, b, gotSim, gotOK, wantSim, wantOK)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

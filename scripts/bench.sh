@@ -21,8 +21,8 @@
 # BenchmarkPartitionedServe (group serving through the consistent-hash
 # fan-out coordinator at 1/2/4 partitions, warm and cold-after-write),
 # BenchmarkFlatKernels (the CSR/merge-join scoring kernels vs the
-# retained map-based references: single-pair Pearson, full matrix
-# build, cold and warm user-cf serve, greedy, and branch-and-bound
+# retained map-based references: single-pair Pearson, cold and warm
+# user-cf serve, greedy, and branch-and-bound
 # brute force — tracked on ns/op AND allocs/op), and
 # BenchmarkNetworkedServe (group serving through the networked
 # coordinator over the binary transport
