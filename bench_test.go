@@ -12,7 +12,7 @@
 //	BenchmarkSearch/*           Fig. 1 — document search engine
 //	BenchmarkWAL/*              storage substrate — append/replay
 //	BenchmarkClustering/*       [17] — full-scan vs clustered peer discovery
-//	BenchmarkCandidateIndex/*   internal/candidates — fullscan vs exact-prefilter vs approx
+//	BenchmarkCandidateIndex/*   internal/candidates — fullscan vs approx
 //	                            peer discovery, cold and post-write
 //	BenchmarkRatingsWriteThroughput/*  sharded vs single-lock store under concurrent writers
 //	BenchmarkScopedInvalidation/*      serving after a write: scoped eviction vs full cache rebuild
@@ -982,15 +982,13 @@ func BenchmarkClustering(b *testing.B) {
 
 // BenchmarkCandidateIndex measures peer discovery under the live
 // cluster candidate index (internal/candidates): the full Def. 1 scan
-// vs the bit-identical exact overlap prefilter vs opt-in approx
-// cluster-neighborhood search — cold (fresh similarity cache, the
-// cost the first query after a deploy or eviction pays) and
-// post-write (a rating lands and the index reassigns before each
-// discovery).
+// vs opt-in approx cluster-neighborhood search — cold (fresh
+// similarity cache, the cost the first query after a deploy or
+// eviction pays) and post-write (a rating lands and the index
+// reassigns before each discovery).
 func BenchmarkCandidateIndex(b *testing.B) {
 	// Sparse matrix (~1% fill): most user pairs share fewer than
-	// MinOverlap co-rated items, so the overlap prefilter prunes most
-	// of the scan — the regime the index exists for.
+	// MinOverlap co-rated items.
 	gen := func(b *testing.B) *ratings.Store {
 		ds, err := dataset.Generate(dataset.Config{Seed: 29, Users: 300, Items: 1500, RatingsPerUser: 15})
 		if err != nil {
@@ -1013,9 +1011,6 @@ func BenchmarkCandidateIndex(b *testing.B) {
 		cand   func(idx *candidates.Index) func(model.UserID) []model.UserID
 	}{
 		{"fullscan", false, func(*candidates.Index) func(model.UserID) []model.UserID { return nil }},
-		{"exact-prefilter", true, func(idx *candidates.Index) func(model.UserID) []model.UserID {
-			return func(u model.UserID) []model.UserID { return idx.ExactPrefilter(u, minOverlap) }
-		}},
 		{"approx", true, func(idx *candidates.Index) func(model.UserID) []model.UserID { return idx.Approx }},
 	}
 	for _, m := range modes {

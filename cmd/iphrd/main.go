@@ -18,14 +18,13 @@
 // count and rejections. -scorer sets the default
 // relevance backend (any registered scorer) for queries that
 // name none. -candidate-index turns on the cluster peer-candidate
-// index (-candidate-k sizes it, 0 = √n): exact queries get a
-// bit-identical prefiltered peer scan, queries with "approx":true
-// restrict peer discovery to the query user's cluster neighborhood,
-// and /v1/stats gains an "index" section (clusters, inertia,
-// reassignments, rebuilds, last-rebuild age). -partitions=N serves
-// from N consistent-hash partitions behind a fan-out/merge coordinator
-// (answers stay bit-identical to unpartitioned serving; /v1/stats
-// gains a "partitions" section with per-partition ownership, replay
+// index (⌈√n⌉ clusters): queries with "approx":true restrict peer
+// discovery to the query user's cluster neighborhood (exact queries
+// never consult it), and /v1/stats gains an "index" section
+// (clusters, inertia, reassignments, rebuilds, last-rebuild age).
+// -partitions=N serves from N consistent-hash partitions behind a
+// fan-out/merge coordinator (answers stay bit-identical to
+// unpartitioned serving; /v1/stats gains a "partitions" section with per-partition ownership, replay
 // lag, and fan-out counters; composes with -state, where the shared
 // WAL bootstraps every partition by snapshot+replay). -pprof ADDR
 // serves net/http/pprof on its own listener and mux, fully separate
@@ -80,8 +79,7 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of warm similarity rows and peer sets across requests (0 = never expire)")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "LRU bound per cache layer (0 = unbounded)")
 	cacheMaxCost := flag.Int64("cache-max-cost", 0, "size-aware cost budget per cache layer (0 = unbounded)")
-	candidateIndex := flag.Bool("candidate-index", false, "enable the cluster peer-candidate index (exact-mode prefilter + opt-in approx queries)")
-	candidateK := flag.Int("candidate-k", 0, "cluster count for the candidate index (0 = √n; needs -candidate-index)")
+	candidateIndex := flag.Bool("candidate-index", false, "enable the cluster peer-candidate index (⌈√n⌉ clusters) for opt-in approx queries")
 	partitions := flag.Int("partitions", 0, "serve from N in-process consistent-hash partitions behind the partition router, the same router -partition-peers runs over the network (0 or 1 = unpartitioned)")
 	partitionListen := flag.String("partition-listen", "", "worker mode: serve the binary partition transport on this address instead of HTTP (pair with a coordinator started with -partition-peers)")
 	partitionPeers := flag.String("partition-peers", "", "coordinator mode: comma-separated worker transport addresses; group serving fans out to them over coalesced binary RPCs")
@@ -96,7 +94,7 @@ func main() {
 	cfg := fairhealth.Config{
 		Delta: *delta, K: *k, Aggregation: *aggr, Scorer: *scorer,
 		CacheTTL: *cacheTTL, CacheMaxEntries: *cacheMaxEntries, CacheMaxCost: *cacheMaxCost,
-		CandidateIndex: *candidateIndex, CandidateK: *candidateK,
+		CandidateIndex: *candidateIndex,
 	}
 	if *partitionListen != "" {
 		if *partitions > 1 || *partitionPeers != "" || *state != "" || *demo {
@@ -173,7 +171,8 @@ func main() {
 				Problems: problems, Medications: prof.Medications,
 			})
 		}
-		if err := sys.Load(ds.Ratings.Triples(), patients); err != nil {
+		triples := ds.Ratings.Triples()
+		if err := sys.Load(triples, patients); err != nil {
 			logger.Fatalf("demo load: %v", err)
 		}
 		for _, d := range ds.Documents {
@@ -181,9 +180,11 @@ func main() {
 				logger.Fatalf("demo document: %v", err)
 			}
 		}
-		st := sys.Stats()
-		logger.Printf("demo data loaded in %v: %d patients, %d items, %d ratings, %d documents",
-			time.Since(start).Round(time.Millisecond), st.Patients, st.Items, st.Ratings, st.Documents)
+		// Not Stats(): its item count reads the ratings snapshot, and
+		// building that here would move the first query's work into
+		// start-up.
+		logger.Printf("demo data loaded in %v: %d patients, %d ratings, %d documents",
+			time.Since(start).Round(time.Millisecond), len(patients), len(triples), len(ds.Documents))
 	}
 
 	// The profiler gets its own mux on its own listener: the handlers

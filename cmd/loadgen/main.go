@@ -85,8 +85,7 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 0, "inproc: cache lease (0 = never expire)")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "inproc: LRU bound per cache layer (0 = unbounded)")
 	cacheMaxCost := flag.Int64("cache-max-cost", 0, "inproc: cost budget per cache layer (0 = unbounded)")
-	candidateIndex := flag.Bool("candidate-index", false, "inproc: enable the cluster peer-candidate index")
-	candidateK := flag.Int("candidate-k", 0, "inproc: cluster count for the candidate index (0 = √n; needs -candidate-index)")
+	candidateIndex := flag.Bool("candidate-index", false, "inproc: enable the cluster peer-candidate index (⌈√n⌉ clusters) for -approx-every queries")
 	partitions := flag.Int("partitions", 0, "inproc: serve from N consistent-hash partitions behind the fan-out coordinator; the report gains a per-partition latency section (0 or 1 = unpartitioned)")
 	partitionPeers := flag.String("partition-peers", "", `inproc: comma-separated worker addresses ("host:port,host:port") for the networked partition coordinator; the report gains a transport stats section (mutually exclusive with -partitions)`)
 	flag.Parse()
@@ -159,7 +158,7 @@ func main() {
 		sysCfg := fairhealth.Config{
 			Delta: *delta, Scorer: *scorer,
 			CacheTTL: *cacheTTL, CacheMaxEntries: *cacheMaxEntries, CacheMaxCost: *cacheMaxCost,
-			CandidateIndex: *candidateIndex, CandidateK: *candidateK,
+			CandidateIndex: *candidateIndex,
 		}
 		if *partitionPeers != "" {
 			if *partitions > 1 {

@@ -195,19 +195,13 @@ type Config struct {
 	// trips first evicts.
 	CacheMaxCost int64
 	// CandidateIndex enables the cluster peer-candidate index
-	// (internal/candidates): exact-mode queries prefilter the peer
-	// scan to users who can actually qualify under MinOverlap
-	// (bit-identical to a full scan, but sublinear in the user count
-	// for sparse data), and queries may opt into approx mode
-	// (GroupQuery.Approx) restricting peer discovery to the query
-	// user's cluster neighborhood. The index is maintained
-	// incrementally from rating writes and rebuilt in the background
-	// past a write-count or drift threshold. Off by default.
+	// (internal/candidates), with ⌈√n⌉ clusters: queries may opt into
+	// approx mode (GroupQuery.Approx), restricting peer discovery to
+	// the query user's cluster neighborhood. Exact queries never
+	// consult it. The index is maintained incrementally from rating
+	// writes and rebuilt in the background past a write-count or drift
+	// threshold. Off by default.
 	CandidateIndex bool
-	// CandidateK is the cluster count for the candidate index; 0 picks
-	// ⌈√n⌉ at build time. Negative, or non-zero without
-	// CandidateIndex, is ErrBadConfig.
-	CandidateK int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -247,12 +241,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CacheMaxCost < 0 {
 		return c, fmt.Errorf("%w: cache max cost %d must be ≥ 0 (0 means unbounded)", ErrBadConfig, c.CacheMaxCost)
-	}
-	if c.CandidateK < 0 {
-		return c, fmt.Errorf("%w: candidate k %d must be ≥ 0 (0 picks √n)", ErrBadConfig, c.CandidateK)
-	}
-	if c.CandidateK > 0 && !c.CandidateIndex {
-		return c, fmt.Errorf("%w: candidate k set without CandidateIndex", ErrBadConfig)
 	}
 	return c, nil
 }
@@ -341,8 +329,7 @@ type System struct {
 	providers map[string]scoring.Provider
 
 	// candIdx is the cluster peer-candidate index over mean-centered
-	// rating vectors (nil unless Config.CandidateIndex). Exact-mode
-	// recommenders consult its posting-list prefilter; approx-mode
+	// rating vectors (nil unless Config.CandidateIndex). Approx-mode
 	// recommenders scan its cluster neighborhoods. Rating writes flow
 	// to it through invalidateUsers.
 	candIdx *candidates.Index
@@ -408,7 +395,7 @@ func NewWithOntology(cfg Config, ont *ontology.Ontology) (*System, error) {
 	sys.pipe.EnableMemo()
 	sys.groupCache = sys.pipe.memo
 	if c.CandidateIndex {
-		sys.candIdx = candidates.NewRatings(sys.ratings, candidates.Config{K: c.CandidateK, Seed: 1})
+		sys.candIdx = candidates.NewRatings(sys.ratings, candidates.Config{Seed: 1})
 	}
 	// Every rating write — direct, CSV bulk load, or WAL replay —
 	// reports its touched user here, and the scoped invalidation routes
@@ -807,8 +794,7 @@ func (c *CacheCounters) add(l scoring.LayerStats) {
 // CandidateIndexStats snapshots the cluster peer-candidate index
 // counters (the /v1/stats "index" section); ok is false when
 // Config.CandidateIndex is off. The clustering builds lazily on the
-// first approx query, so Built may be false under exact-only traffic
-// — the exact prefilter reads item postings, not the clustering.
+// first approx query, so Built is false under exact-only traffic.
 func (s *System) CandidateIndexStats() (candidates.Stats, bool) {
 	if s.candIdx == nil {
 		return candidates.Stats{}, false
@@ -966,10 +952,9 @@ func (s *System) invalidateUsers(users ...model.UserID) {
 	s.provMu.Unlock()
 	s.pipe.DropMemo()
 	if s.candIdx != nil {
-		// After the cache layers: the index is never consulted for
-		// bit-identity (exact prefilter reads live postings), so the
-		// only requirement is that the write is counted toward the
-		// reassignment/rebuild triggers.
+		// After the cache layers: exact answers never read the index,
+		// so the only requirement is that the write is counted toward
+		// the reassignment/rebuild triggers.
 		s.candIdx.OnWrite(users...)
 	}
 }
@@ -1012,7 +997,7 @@ func (s *System) recommender() (*cf.Recommender, error) {
 	// sequence are patched on their next read for exactly the users
 	// evicted since.
 	gen, seq := s.peerCache.Fence()
-	rec := &cf.Recommender{
+	return &cf.Recommender{
 		Store:           s.ratings,
 		Sim:             s.pearson(),
 		Delta:           s.cfg.Delta,
@@ -1020,21 +1005,7 @@ func (s *System) recommender() (*cf.Recommender, error) {
 		Cache:           s.peerCache,
 		CacheGen:        gen,
 		CacheSeq:        seq,
-	}
-	if s.candIdx != nil {
-		// Exact-mode prefilter: restrict the peer scan to users who
-		// share ≥ MinOverlap co-rated items with the query user — the
-		// only users the Pearson measure can ever report a defined
-		// similarity for, so the restricted scan is bit-identical to
-		// the full one (pinned by the equivalence tests). The set is
-		// computed from the live item postings on every scan; cluster
-		// staleness cannot leak into exact answers.
-		minOverlap := s.cfg.MinOverlap
-		rec.Candidates = func(u model.UserID) []model.UserID {
-			return s.candIdx.ExactPrefilter(u, minOverlap)
-		}
-	}
-	return rec, nil
+	}, nil
 }
 
 // recommenderApprox is the approx-mode factory: the peer scan ranges
@@ -1192,7 +1163,6 @@ func (s *System) scorerProvider(name string) (scoring.Provider, error) {
 		Ontology:        s.ont,
 		UserCF:          s.recommender,
 		CandidateIndex:  s.cfg.CandidateIndex,
-		CandidateK:      s.cfg.CandidateK,
 		Delta:           s.cfg.Delta,
 		MinOverlap:      s.cfg.MinOverlap,
 		CacheTTL:        s.cfg.CacheTTL,

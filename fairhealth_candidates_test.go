@@ -3,9 +3,9 @@ package fairhealth
 // The candidate-index equivalence suite: with Config.CandidateIndex on,
 // exact-mode serving must stay bit-identical to an index-less system —
 // across solver methods and scorers, cold and warm, before and after
-// writes — because the exact prefilter only excludes users the Pearson
-// MinOverlap gate would reject anyway. Approx mode is opt-in, validated,
-// and held to a recall floor against exact answers on seeded data.
+// writes — because exact queries never consult the index. Approx mode
+// is opt-in, validated, and held to a recall floor against exact
+// answers on seeded data.
 
 import (
 	"context"
@@ -106,9 +106,9 @@ func TestCandidateIndexExactBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCandidateIndexExactBitIdenticalAfterWrites: the prefilter is
-// computed live from the postings, so identity must survive writes and
-// the scoped invalidation they trigger.
+// TestCandidateIndexExactBitIdenticalAfterWrites: identity must survive
+// writes, the scoped invalidation they trigger and the index's own
+// reassignment of the writers.
 func TestCandidateIndexExactBitIdenticalAfterWrites(t *testing.T) {
 	offCfg, onCfg := candidateConfigs()
 	sysOff, groups := candidateSystem(t, offCfg)

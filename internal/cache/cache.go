@@ -1007,24 +1007,6 @@ func (c *Cache[K, S, V]) AgeHistogram(bounds []time.Duration) []int {
 	return counts
 }
 
-// Keys snapshots the live (unexpired) key set — the warm-up paths use
-// it to skip already-materialized entries.
-func (c *Cache[K, S, V]) Keys() map[K]struct{} {
-	now := c.nowNano()
-	out := make(map[K]struct{}, c.Len())
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.entries {
-			if !c.expiredAt(e, now) {
-				out[k] = struct{}{}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // Range calls fn for every live (unexpired) entry until fn returns
 // false. Iteration order is unspecified. Each shard is snapshotted
 // under its read lock and emitted after release, so fn may call back

@@ -1,5 +1,5 @@
 // Package candidates maintains the live peer-candidate index that
-// serving consults before exact Eq.-1 scoring. It promotes
+// approx-mode serving consults before Eq.-1 scoring. It promotes
 // internal/clustering (the full-dimensional-clustering peer-search
 // acceleration from the paper's related work, §VII) from an offline
 // ablation tool into a serving-path subsystem:
@@ -15,25 +15,16 @@
 //     a build re-dirties the freshly installed result instead of being
 //     lost.
 //
-//   - Exact mode never trusts cluster geometry: ExactPrefilter
-//     restricts the scan to users sharing ≥ MinOverlap co-rated items
-//     with the query user, computed from the live item postings. For
-//     the Pearson family that set is provably the full support of
-//     Def. 1 — any user outside it fails the MinOverlap gate inside
-//     Pearson.Similarity and can never qualify as a peer — so the
-//     restricted scan is bit-identical to a full scan, warm or cold,
-//     regardless of how stale the clustering is.
-//
-//   - Approx mode (Approx) restricts the scan to the query user's
-//     cluster plus the Neighbors nearest clusters by centroid cosine,
-//     trading recall for throughput. Staleness between incremental
+//   - Approx (opted into per query) restricts the peer scan to the
+//     query user's cluster plus the Neighbors nearest clusters by
+//     centroid cosine, trading recall for throughput. Exact queries
+//     never consult the index. Staleness between incremental
 //     reassignment and the next rebuild only affects which users are
 //     candidates, never how a candidate is scored.
 package candidates
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -127,7 +118,6 @@ type Stats struct {
 type Index struct {
 	cfg      Config
 	snapshot Snapshot
-	store    *ratings.Store // non-nil only for rating instantiations
 
 	// buildMu serializes full builds so concurrent EnsureBuilt calls
 	// compute once; mu guards everything below it.
@@ -156,14 +146,11 @@ func New(snapshot Snapshot, cfg Config) *Index {
 }
 
 // NewRatings builds an Index over the store's rated users and
-// mean-centered rating vectors. Only ratings-backed indexes support
-// ExactPrefilter.
+// mean-centered rating vectors.
 func NewRatings(store *ratings.Store, cfg Config) *Index {
-	idx := New(func() ([]model.UserID, clustering.VectorFunc, error) {
+	return New(func() ([]model.UserID, clustering.VectorFunc, error) {
 		return store.Users(), clustering.RatingVectors(store), nil
 	}, cfg)
-	idx.store = store
-	return idx
 }
 
 // autoK is the default cluster count: ⌈√n⌉, at least 2 (one cluster
@@ -324,48 +311,6 @@ func (x *Index) Approx(u model.UserID) []model.UserID {
 // Source adapts Approx to the cf.Recommender.Candidates signature.
 func (x *Index) Source() func(model.UserID) []model.UserID {
 	return x.Approx
-}
-
-// ExactPrefilter returns the users sharing at least minOverlap
-// co-rated items with u, from the live item postings. For the Pearson
-// similarity family this is exactly the set of users the full scan
-// could ever admit — everyone else fails the MinOverlap gate inside
-// the similarity function — so restricting the scan to it is
-// bit-identical to scanning everyone, at the cost of the posting-list
-// walk instead of |users| full similarity evaluations. Returns nil
-// (scan everyone) for indexes not backed by a ratings store; an empty
-// non-nil slice means no user can qualify.
-func (x *Index) ExactPrefilter(u model.UserID, minOverlap int) []model.UserID {
-	if x.store == nil {
-		return nil
-	}
-	if minOverlap < 1 {
-		minOverlap = 1 // Pearson treats MinOverlap < 1 as 1
-	}
-	// Posting-list support count: walk u's items (the CSR row — already
-	// sorted, no copy) and count each co-rater once per shared item.
-	// This touches only users with ≥1 shared item, which on sparse data
-	// is far smaller than the user universe — a per-candidate merge-join
-	// over all users costs more than the counting map saves.
-	ru, ok := x.store.Snapshot().Row(u)
-	if !ok {
-		return []model.UserID{}
-	}
-	counts := make(map[model.UserID]int)
-	for _, it := range ru.Items {
-		x.store.VisitItemRatings(it, func(v model.UserID, _ model.Rating) bool {
-			counts[v]++
-			return true
-		})
-	}
-	out := make([]model.UserID, 0, len(counts))
-	for v, n := range counts {
-		if v != u && n >= minOverlap {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // Stats snapshots the index counters.

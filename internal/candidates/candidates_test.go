@@ -1,13 +1,10 @@
 package candidates
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
-	"fairhealth/internal/clustering"
 	"fairhealth/internal/dataset"
 	"fairhealth/internal/model"
 	"fairhealth/internal/ratings"
@@ -20,59 +17,6 @@ func testStore(t testing.TB) *ratings.Store {
 		t.Fatal(err)
 	}
 	return ds.Ratings
-}
-
-// bruteOverlap is the reference implementation of the exact prefilter:
-// every other user sharing ≥ minOverlap co-rated items with u.
-func bruteOverlap(st *ratings.Store, u model.UserID, minOverlap int) []model.UserID {
-	if minOverlap < 1 {
-		minOverlap = 1
-	}
-	var out []model.UserID
-	for _, v := range st.Users() {
-		if v == u {
-			continue
-		}
-		if len(st.CoRated(u, v)) >= minOverlap {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-func TestExactPrefilterMatchesBruteForce(t *testing.T) {
-	st := testStore(t)
-	idx := NewRatings(st, Config{Seed: 1})
-	defer idx.Close()
-	for _, minOverlap := range []int{0, 1, 3, 5} {
-		for _, u := range st.Users() {
-			got := idx.ExactPrefilter(u, minOverlap)
-			want := bruteOverlap(st, u, minOverlap)
-			if len(got) != len(want) {
-				t.Fatalf("ExactPrefilter(%s, %d): %d candidates, brute force %d", u, minOverlap, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("ExactPrefilter(%s, %d)[%d] = %s, want %s", u, minOverlap, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestExactPrefilterWithoutStore(t *testing.T) {
-	// A non-ratings instantiation (e.g. the profile term-vector index)
-	// has no postings to prefilter from: nil means "scan everyone".
-	idx := New(func() ([]model.UserID, clustering.VectorFunc, error) {
-		return []model.UserID{"a"}, func(model.UserID) map[model.ItemID]float64 {
-			return map[model.ItemID]float64{"t": 1}
-		}, nil
-	}, Config{})
-	defer idx.Close()
-	if got := idx.ExactPrefilter("a", 1); got != nil {
-		t.Fatalf("ExactPrefilter on a non-ratings index = %v, want nil", got)
-	}
 }
 
 func TestApproxOwnClusterOnly(t *testing.T) {
@@ -211,7 +155,7 @@ func TestOnWriteAfterCloseIsSafe(t *testing.T) {
 
 // TestConcurrentWritesAndLookups exercises the index under -race: live
 // writes into the backing store, OnWrite reassignment, background
-// rebuilds, and approx/exact lookups all at once.
+// rebuilds, approx lookups and stats reads all at once.
 func TestConcurrentWritesAndLookups(t *testing.T) {
 	st := testStore(t)
 	idx := NewRatings(st, Config{Seed: 1, RebuildEvery: 8})
@@ -235,7 +179,7 @@ func TestConcurrentWritesAndLookups(t *testing.T) {
 				case 1:
 					idx.Approx(u)
 				default:
-					idx.ExactPrefilter(u, 2)
+					idx.Stats()
 				}
 			}
 		}(w)
@@ -267,31 +211,5 @@ func TestConfigDefaults(t *testing.T) {
 	c = Config{RebuildEvery: -1, DriftRatio: -1, Neighbors: -1}.withDefaults()
 	if c.RebuildEvery != -1 || c.DriftRatio != -1 || c.Neighbors != 0 {
 		t.Fatalf("negative config normalization wrong: %+v", c)
-	}
-}
-
-// Ensure ExactPrefilter stays live: candidates computed after a write
-// include users the write just connected.
-func TestExactPrefilterSeesFreshWrites(t *testing.T) {
-	st := ratings.New()
-	add := func(u, i string, r float64) {
-		if err := st.Add(model.UserID(u), model.ItemID(i), model.Rating(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		add("alice", fmt.Sprintf("doc%d", i), 4)
-	}
-	idx := NewRatings(st, Config{Seed: 1})
-	defer idx.Close()
-	if got := idx.ExactPrefilter("alice", 3); len(got) != 0 {
-		t.Fatalf("prefilter before bob rates = %v, want empty", got)
-	}
-	for i := 0; i < 3; i++ {
-		add("bob", fmt.Sprintf("doc%d", i), 5)
-	}
-	got := idx.ExactPrefilter("alice", 3)
-	if len(got) != 1 || got[0] != "bob" {
-		t.Fatalf("prefilter after bob rates = %v, want [bob]", got)
 	}
 }

@@ -130,7 +130,6 @@ func ConfigFingerprint(cfg fairhealth.Config) string {
 		"aggr=" + cfg.Aggregation,
 		"scorer=" + cfg.Scorer,
 		"cidx=" + strconv.FormatBool(cfg.CandidateIndex),
-		"ck=" + strconv.Itoa(cfg.CandidateK),
 	}, "|")
 }
 

@@ -31,6 +31,19 @@ func (c *Columns) Column(k uint32) []Cell { return c.cols[k] }
 // user's Row.Mean.
 func (c *Columns) Mean(p uint32) float64 { return c.means[p] }
 
+// rated returns how many columns are non-empty — the items someone
+// rates, which the catalogue may outnumber — and how many cells they
+// hold.
+func (c *Columns) rated() (items, cells int) {
+	for _, col := range c.cols {
+		if len(col) > 0 {
+			items++
+			cells += len(col)
+		}
+	}
+	return items, cells
+}
+
 // Position returns u's position in Users(); ok is false when u has no
 // ratings in this snapshot.
 func (sn *Snapshot) Position(u model.UserID) (p uint32, ok bool) {

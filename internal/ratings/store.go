@@ -1,19 +1,20 @@
 // Package ratings implements the sparse user–item rating matrix that
 // backs the collaborative-filtering layer (§III.A of the paper). The
-// store keeps two mirrored indexes — ratings by user (I(u)) and raters
-// by item (U(i)) — because Eq. 1 needs fast access along both axes:
-// peer discovery iterates users, relevance prediction iterates the
-// raters of a candidate item.
+// store keeps one index, ratings by user (I(u)). Reads along the item
+// axis — the raters of an item (U(i)), which peer discovery walks to
+// build a member's Pearson row — go through the immutable Snapshot and
+// its item-major Columns, which are patched after writes instead of
+// mirrored under a second lock.
 //
 // The store is safe for concurrent use and internally sharded: users
 // are spread over a power-of-two number of shards by an FNV-1a hash of
 // the user ID, each shard with its own lock and per-user mean cache, so
 // concurrent writers to different users do not serialize on one global
-// mutex (items are sharded the same way on the item ID). All mutating
-// operations validate rating bounds; reads return defensive copies or
-// invoke visitor callbacks under the owning shard's read lock. Writes
-// report the touched user through the OnWrite observer, which the
-// recommender facade uses to route scoped cache invalidation.
+// mutex, and a write takes exactly one lock. All mutating operations
+// validate rating bounds; reads return defensive copies or invoke
+// visitor callbacks under the owning shard's read lock. Writes report
+// the touched user through the OnWrite observer, which the recommender
+// facade uses to route scoped cache invalidation.
 package ratings
 
 import (
@@ -22,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -58,23 +58,15 @@ type userShard struct {
 	meanDirty map[model.UserID]bool
 }
 
-// itemShard holds the by-item index for the items hashing to it.
-type itemShard struct {
-	mu     sync.RWMutex
-	byItem map[model.ItemID]map[model.UserID]model.Rating
-}
-
 // Store is a thread-safe, sharded sparse rating matrix.
 //
-// Lock discipline: a write takes its user shard's lock first and the
-// item shard's lock second (never the reverse), and multi-shard readers
-// acquire user shards in ascending index order, so the lock graph is
-// acyclic.
+// Lock discipline: a write takes only its user shard's lock, and
+// multi-shard readers acquire user shards in ascending index order, so
+// the lock graph is acyclic.
 //
 // The zero value is not ready for use; call New or NewSharded.
 type Store struct {
 	users []userShard
-	items []itemShard
 	mask  uint32
 	count atomic.Int64
 
@@ -121,16 +113,12 @@ func NewSharded(shards int) *Store {
 	}
 	s := &Store{
 		users: make([]userShard, n),
-		items: make([]itemShard, n),
 		mask:  uint32(n - 1),
 	}
 	for i := range s.users {
 		s.users[i].byUser = make(map[model.UserID]map[model.ItemID]model.Rating)
 		s.users[i].means = make(map[model.UserID]float64)
 		s.users[i].meanDirty = make(map[model.UserID]bool)
-	}
-	for i := range s.items {
-		s.items[i].byItem = make(map[model.ItemID]map[model.UserID]model.Rating)
 	}
 	return s
 }
@@ -146,8 +134,7 @@ func (s *Store) ShardCount() int { return len(s.users) }
 // across goroutines; only one observer is kept.
 func (s *Store) OnWrite(fn func(model.UserID)) { s.onWrite = fn }
 
-// fnv32a is the 32-bit FNV-1a hash used to place users and items on
-// shards.
+// fnv32a is the 32-bit FNV-1a hash used to place users on shards.
 func fnv32a(s string) uint32 {
 	const (
 		offset32 = 2166136261
@@ -163,10 +150,6 @@ func fnv32a(s string) uint32 {
 
 func (s *Store) userShard(u model.UserID) *userShard {
 	return &s.users[fnv32a(string(u))&s.mask]
-}
-
-func (s *Store) itemShard(i model.ItemID) *itemShard {
-	return &s.items[fnv32a(string(i))&s.mask]
 }
 
 func (s *Store) reportWrite(u model.UserID) {
@@ -210,7 +193,7 @@ func (s *Store) Add(u model.UserID, i model.ItemID, r model.Rating) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	us, is := s.userShard(u), s.itemShard(i)
+	us := s.userShard(u)
 	us.mu.Lock()
 	ui, ok := us.byUser[u]
 	if !ok {
@@ -220,17 +203,6 @@ func (s *Store) Add(u model.UserID, i model.ItemID, r model.Rating) error {
 	_, existed := ui[i]
 	ui[i] = r
 	us.meanDirty[u] = true
-	// The item shard is updated under the still-held user lock so that
-	// concurrent writes to the same (user,item) pair cannot leave the
-	// two indexes disagreeing about the final value.
-	is.mu.Lock()
-	iu, ok := is.byItem[i]
-	if !ok {
-		iu = make(map[model.UserID]model.Rating)
-		is.byItem[i] = iu
-	}
-	iu[u] = r
-	is.mu.Unlock()
 	us.mu.Unlock()
 	if !existed {
 		s.count.Add(1)
@@ -248,7 +220,7 @@ func (s *Store) AddNew(u model.UserID, i model.ItemID, r model.Rating) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	us, is := s.userShard(u), s.itemShard(i)
+	us := s.userShard(u)
 	us.mu.Lock()
 	if _, ok := us.byUser[u][i]; ok {
 		us.mu.Unlock()
@@ -261,14 +233,6 @@ func (s *Store) AddNew(u model.UserID, i model.ItemID, r model.Rating) error {
 	}
 	ui[i] = r
 	us.meanDirty[u] = true
-	is.mu.Lock()
-	iu, ok := is.byItem[i]
-	if !ok {
-		iu = make(map[model.UserID]model.Rating)
-		is.byItem[i] = iu
-	}
-	iu[u] = r
-	is.mu.Unlock()
 	us.mu.Unlock()
 	s.count.Add(1)
 	s.reportWrite(u)
@@ -277,7 +241,7 @@ func (s *Store) AddNew(u model.UserID, i model.ItemID, r model.Rating) error {
 
 // Remove deletes the rating of item i by user u.
 func (s *Store) Remove(u model.UserID, i model.ItemID) error {
-	us, is := s.userShard(u), s.itemShard(i)
+	us := s.userShard(u)
 	us.mu.Lock()
 	ui, ok := us.byUser[u]
 	if !ok {
@@ -293,12 +257,6 @@ func (s *Store) Remove(u model.UserID, i model.ItemID) error {
 		delete(us.byUser, u)
 	}
 	us.meanDirty[u] = true
-	is.mu.Lock()
-	delete(is.byItem[i], u)
-	if len(is.byItem[i]) == 0 {
-		delete(is.byItem, i)
-	}
-	is.mu.Unlock()
 	us.mu.Unlock()
 	s.count.Add(-1)
 	s.reportWrite(u)
@@ -337,13 +295,7 @@ func (s *Store) NumUsers() int {
 
 // NumItems returns the number of distinct items with ≥1 rating.
 func (s *Store) NumItems() int {
-	n := 0
-	for k := range s.items {
-		sh := &s.items[k]
-		sh.mu.RLock()
-		n += len(sh.byItem)
-		sh.mu.RUnlock()
-	}
+	n, _ := s.Snapshot().Columns().rated()
 	return n
 }
 
@@ -362,18 +314,17 @@ func (s *Store) Users() []model.UserID {
 	return out
 }
 
-// Items returns all item IDs in ascending order.
+// Items returns all item IDs with ≥1 rating in ascending order. The
+// snapshot's catalogue may still list items nobody rates any more, so
+// only the positions with a non-empty column count.
 func (s *Store) Items() []model.ItemID {
+	sn := s.Snapshot()
 	var out []model.ItemID
-	for k := range s.items {
-		sh := &s.items[k]
-		sh.mu.RLock()
-		for i := range sh.byItem {
-			out = append(out, i)
+	for k, col := range sn.Columns().cols {
+		if len(col) > 0 {
+			out = append(out, sn.items[k])
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
@@ -391,17 +342,20 @@ func (s *Store) ItemsRatedBy(u model.UserID) []model.ItemID {
 	return out
 }
 
-// UsersWhoRated returns U(i): the users who rated i, ascending.
+// UsersWhoRated returns U(i): the users who rated i, ascending (a
+// column lists its raters by user position, and positions ascend with
+// user IDs).
 func (s *Store) UsersWhoRated(i model.ItemID) []model.UserID {
-	is := s.itemShard(i)
-	is.mu.RLock()
-	iu := is.byItem[i]
-	out := make([]model.UserID, 0, len(iu))
-	for u := range iu {
-		out = append(out, u)
+	sn := s.Snapshot()
+	k := sort.Search(len(sn.items), func(j int) bool { return sn.items[j] >= i })
+	if k == len(sn.items) || sn.items[k] != i {
+		return []model.UserID{}
 	}
-	is.mu.RUnlock()
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	col := sn.Columns().Column(uint32(k))
+	out := make([]model.UserID, len(col))
+	for j, c := range col {
+		out[j] = sn.users[c.User]
+	}
 	return out
 }
 
@@ -414,19 +368,6 @@ func (s *Store) UserRatings(u model.UserID) map[model.ItemID]model.Rating {
 	out := make(map[model.ItemID]model.Rating, len(ui))
 	for i, r := range ui {
 		out[i] = r
-	}
-	return out
-}
-
-// ItemRatings returns a copy of i's rating column.
-func (s *Store) ItemRatings(i model.ItemID) map[model.UserID]model.Rating {
-	is := s.itemShard(i)
-	is.mu.RLock()
-	defer is.mu.RUnlock()
-	iu := is.byItem[i]
-	out := make(map[model.UserID]model.Rating, len(iu))
-	for u, r := range iu {
-		out[u] = r
 	}
 	return out
 }
@@ -568,20 +509,6 @@ func (s *Store) VisitUserRatings(u model.UserID, fn func(model.ItemID, model.Rat
 	}
 }
 
-// VisitItemRatings calls fn for every (user, rating) of i under the
-// shard read lock, in unspecified order. Returning false stops the
-// visit.
-func (s *Store) VisitItemRatings(i model.ItemID, fn func(model.UserID, model.Rating) bool) {
-	is := s.itemShard(i)
-	is.mu.RLock()
-	defer is.mu.RUnlock()
-	for u, r := range is.byItem[i] {
-		if !fn(u, r) {
-			return
-		}
-	}
-}
-
 // Clone returns a deep copy of the store.
 func (s *Store) Clone() *Store {
 	out := New()
@@ -595,17 +522,17 @@ func (s *Store) Clone() *Store {
 }
 
 // Sparsity returns 1 - |ratings| / (|users|·|items|), the usual
-// sparsity measure of the matrix; 0 when the store is empty. The three
-// counts are read without a global lock, so under concurrent writes
-// the raw ratio can drift past the boundaries; the result is clamped
-// to [0,1].
+// sparsity measure of the matrix; 0 when the store is empty. All three
+// counts come from one snapshot, so they describe one matrix even
+// under concurrent writes.
 func (s *Store) Sparsity() float64 {
-	den := s.NumUsers() * s.NumItems()
+	sn := s.Snapshot()
+	items, ratings := sn.Columns().rated()
+	den := sn.NumUsers() * items
 	if den == 0 {
 		return 0
 	}
-	sp := 1 - float64(s.Len())/float64(den)
-	return math.Min(1, math.Max(0, sp))
+	return 1 - float64(ratings)/float64(den)
 }
 
 // WriteCSV emits the matrix as "user,item,rating" rows in the

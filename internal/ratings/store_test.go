@@ -237,11 +237,6 @@ func TestVisitors(t *testing.T) {
 	if n != 1 {
 		t.Errorf("early-stop visit visited %d, want 1", n)
 	}
-	n = 0
-	s.VisitItemRatings("d1", func(model.UserID, model.Rating) bool { n++; return true })
-	if n != 2 {
-		t.Errorf("VisitItemRatings visited %d, want 2", n)
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

@@ -248,7 +248,7 @@ func newMemoCF(name string, d Deps, build func(Deps) (simfn.UserSimilarity, erro
 func newProfileCF(d Deps) Provider {
 	p := newMemoCF(NameProfile, d, profileMeasure, false)
 	if d.CandidateIndex {
-		p.idx = candidates.New(p.termSnapshot, candidates.Config{K: d.CandidateK, Seed: 1})
+		p.idx = candidates.New(p.termSnapshot, candidates.Config{Seed: 1})
 	}
 	return p
 }

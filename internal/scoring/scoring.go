@@ -128,10 +128,8 @@ type Deps struct {
 	// back to exact Relevances.
 	UserCFApprox func() (*cf.Recommender, error)
 	// CandidateIndex enables the profile provider's own term-vector
-	// candidate index for approx-mode peer search; CandidateK sizes
-	// it (0 → ⌈√n⌉ at build time).
+	// candidate index (⌈√n⌉ clusters) for approx-mode peer search.
 	CandidateIndex bool
-	CandidateK     int
 	// Delta is the peer threshold δ (Def. 1) for CF-style providers.
 	Delta float64
 	// MinOverlap is the minimum co-rated items for rating-derived

@@ -16,8 +16,8 @@
 # vs item-cf vs profile — warm group-relevance cache vs cold after a
 # write), BenchmarkClustering (k-means build cost plus full-scan vs
 # clustered peer discovery), BenchmarkCandidateIndex (peer
-# discovery under the live candidate index — fullscan vs
-# exact-prefilter vs approx, cold and post-write),
+# discovery under the live candidate index — fullscan vs approx,
+# cold and post-write),
 # BenchmarkPartitionedServe (group serving through the consistent-hash
 # fan-out coordinator at 1/2/4 partitions, warm and cold-after-write),
 # BenchmarkFlatKernels (the CSR/merge-join scoring kernels vs the
